@@ -1,0 +1,14 @@
+"""Put the benchmark's own modules and the program's sources on the path.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
