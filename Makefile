@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint verify test bench bench-smoke bench-scale bench-flow \
-    bench-dispatch bench-naming chaos all
+    bench-dispatch bench-naming bench-e2e chaos all
 
 all: lint test
 
@@ -94,3 +94,22 @@ bench-naming:
 bench-dispatch:
 	$(PYTHON) benchmarks/microbench.py --dispatch
 	$(PYTHON) benchmarks/microbench.py --check --dispatch
+
+# End-to-end benchmark smoke (perfbench/README.md): the benchmark's own
+# tests, then a short traced run of every workload.  A traced run wraps
+# each Fig. 2-1 boundary by name, so a renamed or deleted entry point
+# fails here; a result that is not "correct" (a failed check, or traced
+# counts that differ from untraced ones) fails too.  CI runs this as
+# the bench-e2e job.
+BENCH_E2E_WORKLOADS := echo_chain3 stream_2net churn_2net
+
+bench-e2e:
+	$(PYTHON) -m pytest perfbench/tests -q
+	mkdir -p .perfbench
+	for w in $(BENCH_E2E_WORKLOADS); do \
+	    $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 3 \
+	        --trace 1 > .perfbench/$$w.smoke.txt \
+	    && tail -n 1 .perfbench/$$w.smoke.txt | $(PYTHON) -c \
+	        'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' \
+	    || { cat .perfbench/$$w.smoke.txt; exit 1; }; \
+	done

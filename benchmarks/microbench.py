@@ -139,7 +139,8 @@ FLOW_COUNTERS = (
 
 # Frame-train dispatch sweep (PROTOCOL.md §13): a steady-state fan-in
 # workload on the netsim substrate — ``modules`` senders firing bursts
-# at one sink — with train coalescing off vs on.  The floors gate the
+# at one sink — with every frame a train of one (``train_max=1``, the
+# per-frame ablation) vs coalesced trains.  The floors gate the
 # headline claims at 10,000 modules: scheduler events per delivered
 # message must drop >= 3x, and the wall-clock cost of draining the
 # whole workload must drop >= 2x.  A real-stack burst across the
@@ -151,9 +152,16 @@ DISPATCH_BURST_TICKS = 32      # senders spread over this many instants
 DISPATCH_EVENTS_FLOOR = 3.0    # x, events/message reduction at 10k
 DISPATCH_DRAIN_FLOOR = 2.0     # x, wall-clock drain speedup at 10k
 DISPATCH_E2E_MESSAGES = 60
-# Module-side train counters; the gateway-side pair (gw_train_splices,
-# gateway_train_rotations) is read off the Gateway objects directly.
+# Module-side train counters; the gateway-side pair is read off the
+# gateway stacks (gw_train_splices) and the Gateway objects
+# (train_rotations).
 DISPATCH_TRAIN_COUNTERS = ("nd_train_frames", "lcm_train_drains")
+
+
+def gateway_counter(bed, name: str) -> int:
+    """``name`` summed over the counter sets of every gateway stack."""
+    return sum(stack.counters[name] for gw in bed.gateways.values()
+               for stack in gw.stacks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +459,7 @@ def bench_e2e_chain(rows: List[dict]) -> None:
     wall_ms = (time.perf_counter() - t0) * 1000  # ntcslint: allow=DET001 — benchmarks measure wall time by design
     zero_copy = sum(gw.frames_forwarded_zero_copy
                     for gw in bed.gateways.values())
-    deferred = sum(gw.checksum_verifies_deferred
-                   for gw in bed.gateways.values())
+    deferred = gateway_counter(bed, "gateway_checksum_verifies_deferred")
     rows.append(row("e2e_chain3", "steady_call", virtual_ms,
                     "virtual_ms/call", virtual_ms=virtual_ms,
                     wall_ms=wall_ms))
@@ -1173,13 +1180,13 @@ def check_flow_floors(path: str) -> List[str]:
 # Frame-train dispatch bench (PROTOCOL.md §13) -> BENCH_dispatch.json
 # ---------------------------------------------------------------------------
 
-def _drive_dispatch_fanin(modules: int, enabled: bool, repeats: int = 3):
+def _drive_dispatch_fanin(modules: int, train_max: int, repeats: int = 3):
     """The steady-state fan-in workload on the netsim substrate:
     ``modules`` senders, spread over ``DISPATCH_BURST_TICKS`` instants,
     each burst-transmit their share of ``DISPATCH_MESSAGES`` frames at
     one sink.  Same-instant same-destination frames are exactly what
-    the train coalescer batches; with ``enabled=False`` every frame
-    pays its own delivery event.  Returns total scheduler events,
+    the train coalescer batches; with ``train_max=1`` every frame is a
+    train of one and pays its own delivery event.  Returns total scheduler events,
     messages delivered, best-of drain wall seconds, and the coalesced
     train count."""
     from repro.netsim.network import Network
@@ -1190,18 +1197,14 @@ def _drive_dispatch_fanin(modules: int, enabled: bool, repeats: int = 3):
     def build():
         sched = Scheduler()
         net = Network(sched, "bench0", latency=0.0005)
-        net.train_enabled = enabled
+        net.train_max = train_max
         sink = net.attach("sink")
         delivered = [0]
-
-        def on_frame(_datagram):
-            delivered[0] += 1
 
         def on_train(datagrams):
             delivered[0] += len(datagrams)
 
-        sink.bind_protocol("bench", on_frame)
-        sink.bind_protocol_batch("bench", on_train)
+        sink.bind_protocol("bench", on_train)
 
         def sender(iface):
             def fire():
@@ -1242,16 +1245,16 @@ def _drive_dispatch_fanin(modules: int, enabled: bool, repeats: int = 3):
             "wall": best, "coalesced": coalesced}
 
 
-def _drive_dispatch_e2e(enabled: bool):
+def _drive_dispatch_e2e(train_max: int):
     """The same claim on the real stack: a producer bursts
     ``DISPATCH_E2E_MESSAGES`` messages across the two_nets gateway to a
     polling consumer.  Returns scheduler events, messages received,
-    total wire frames (which must not move between modes), and the §13
-    train counters read off the run."""
+    total wire frames (which must not move with ``train_max``), and
+    the §13 train counters read off the run."""
     from deployments import two_nets
     from repro.ntcs.nucleus import NucleusConfig
 
-    bed = two_nets(config=NucleusConfig(train_enabled=enabled))
+    bed = two_nets(config=NucleusConfig(train_max=train_max))
     prod = bed.module("train.producer", "vax1")
     cons = bed.module("train.consumer", "apollo1")
     addr = cons.ali.uadd
@@ -1280,7 +1283,7 @@ def _drive_dispatch_e2e(enabled: bool):
         "frames": sum(net.frames_sent for net in bed.networks.values()),
         "coalesced": sum(net.trains_coalesced
                          for net in bed.networks.values()),
-        "gw_splices": sum(gw.train_splices for gw in bed.gateways.values()),
+        "gw_splices": gateway_counter(bed, "gw_train_splices"),
         "gw_rotations": sum(gw.train_rotations
                             for gw in bed.gateways.values()),
         "events_per_msg_milli": counters["scheduler_events_per_message"],
@@ -1290,16 +1293,19 @@ def _drive_dispatch_e2e(enabled: bool):
 
 def bench_dispatch(rows: List[dict]) -> List[str]:
     """The §13 dispatch-efficiency contract, measured: scheduler events
-    per delivered message and end-to-end drain wall time with frame
-    trains off vs on, swept over the fan-in topology sizes; the real
-    two_nets gateway burst; and the pinned E5 establishment counts
-    re-checked with trains on.  Returns floor violations."""
+    per delivered message and end-to-end drain wall time with trains
+    of one ("off", ``train_max=1``) vs the default coalescing window
+    ("on"), swept over the fan-in topology sizes; the real two_nets
+    gateway burst; and the pinned E5 establishment counts re-checked
+    with trains on.  Returns floor violations."""
     from deployments import chain_nets, echo_server
+    from repro.ntcs.nucleus import NucleusConfig
 
+    train_on = NucleusConfig().train_max
     failures = []
     for modules in DISPATCH_SWEEP:
-        off = _drive_dispatch_fanin(modules, False)
-        on = _drive_dispatch_fanin(modules, True)
+        off = _drive_dispatch_fanin(modules, 1)
+        on = _drive_dispatch_fanin(modules, train_on)
         epm_off = off["events"] / off["delivered"]
         epm_on = on["events"] / on["delivered"]
         reduction = epm_off / epm_on
@@ -1328,8 +1334,8 @@ def bench_dispatch(rows: List[dict]) -> List[str]:
                     f"{drain_speedup:.2f}x < {DISPATCH_DRAIN_FLOOR}x floor"
                 )
 
-    e2e_off = _drive_dispatch_e2e(False)
-    e2e_on = _drive_dispatch_e2e(True)
+    e2e_off = _drive_dispatch_e2e(1)
+    e2e_on = _drive_dispatch_e2e(train_on)
     rows.append(row("dispatch_e2e", "events_off", e2e_off["events"],
                     "events", virtual_ms=e2e_off["elapsed"] * 1000))
     rows.append(row("dispatch_e2e", "events_on", e2e_on["events"],

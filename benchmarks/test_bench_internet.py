@@ -35,8 +35,9 @@ def _chain_metrics(hops):
     topo = client.nucleus.counters["topology_queries"]
     zero_copy = sum(gw.frames_forwarded_zero_copy
                     for gw in bed.gateways.values())
-    deferred = sum(gw.checksum_verifies_deferred
-                   for gw in bed.gateways.values())
+    deferred = sum(stack.counters["gateway_checksum_verifies_deferred"]
+                   for gw in bed.gateways.values()
+                   for stack in gw.stacks.values())
     # Queueing under flow control (PROTOCOL.md §12): a call/reply
     # workload consumes as it goes, so the per-LVC receive queues
     # never build and no sender ever stalls for credit.

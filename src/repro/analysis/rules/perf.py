@@ -11,10 +11,13 @@ PERF001 (error) per-frame delivery dispatch: a ``scheduler.post(...)``
                 or ``scheduler.schedule(...)`` call inside a ``for``/
                 ``while`` loop in one of the hot-path modules
                 (:data:`_HOT_PATH_MODULES`).  Batch the frames and make
-                one delivery post for the train — the sanctioned entry
-                points are ``NdLayer.send_frames`` and the gateway's
-                ``_forward_batch``/``_flush_backlog`` rotation, each of
-                which posts at most once per batch.
+                one delivery post for the train.  There is one receive
+                path and it takes trains (a frame is a train of one):
+                ``NdLayer._on_raw`` in, and out through the sanctioned
+                entry points ``NdLayer.send_frames`` and the gateway's
+                ``_fast_forward``/``_forward_batch`` splice with its
+                ``_flush_backlog`` rotation, each of which posts at
+                most once per batch.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ def check_perf(project: Project) -> Iterable[Finding]:
                     message=(
                         f"per-frame scheduler.{func.attr}() inside a "
                         f"hot-path loop; coalesce the frames and make "
-                        f"one delivery post through the train API "
+                        f"one delivery post through the train API — "
+                        f"NdLayer.send_frames or the gateway's "
+                        f"_fast_forward/_forward_batch splice "
                         f"(PROTOCOL.md §13)"),
                 ))
     return findings

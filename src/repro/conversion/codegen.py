@@ -97,6 +97,8 @@ def _take_counted(data, pos, where):
         length = int(data[pos:colon])
     except ValueError:
         raise ConversionError("%s: bad length %r" % (where, data[pos:colon]))
+    if length < 0:
+        raise ConversionError("%s: negative length %d" % (where, length))
     start = colon + 1
     end = start + length
     if len(data) < end + 1 or data[end] != 0x1F:

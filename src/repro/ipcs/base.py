@@ -21,8 +21,10 @@ class Channel:
 
     Concrete IPCSs create these; users interact through this class.
     ``send`` queues data for the peer; delivery invokes the receive
-    handler.  When the channel dies (peer close, process death, network
-    failure), the close handler runs exactly once with a reason string.
+    handler with a list of chunks/records — one frame train's worth
+    (PROTOCOL.md §13), a single chunk being a train of one.  When the
+    channel dies (peer close, process death, network failure), the
+    close handler runs exactly once with a reason string.
     """
 
     def __init__(self, ipcs: "Ipcs", channel_id: int, owner: SimProcess):
@@ -30,9 +32,7 @@ class Channel:
         self.channel_id = channel_id
         self.owner = owner
         self.open = False
-        self._receive_handler: Optional[Callable[[bytes], None]] = None
-        self._batch_receive_handler: \
-            Optional[Callable[[List[bytes]], None]] = None
+        self._receive_handler: Optional[Callable[[List[bytes]], None]] = None
         self._close_handler: Optional[Callable[[str], None]] = None
         self._closed_reason: Optional[str] = None
         self.bytes_sent = 0
@@ -40,18 +40,14 @@ class Channel:
 
     # -- user side ----------------------------------------------------------
 
-    def set_receive_handler(self, handler: Callable[[bytes], None]) -> None:
-        """Install the callback invoked per delivered chunk/record."""
+    def set_receive_handler(self, handler: Callable[[List[bytes]], None]) -> None:
+        """Install the callback invoked with each delivery's list of
+        chunks/records, in arrival order."""
         self._receive_handler = handler
 
-    def set_batch_receive_handler(
-            self, handler: Callable[[List[bytes]], None]) -> None:
-        """Install an optional callback for a frame train's worth of
-        chunks/records delivered together (PROTOCOL.md §13).  Purely an
-        efficiency contract: the handler must process the chunks as
-        the per-chunk handler would, in list order.  Without one, a
-        batch falls back to per-chunk upcalls."""
-        self._batch_receive_handler = handler
+    # Retired name kept only because the end-to-end benchmark's span
+    # tracer resolves it by name; drop with the next benchmark change.
+    set_batch_receive_handler = set_receive_handler
 
     def set_close_handler(self, handler: Callable[[str], None]) -> None:
         """Install the callback invoked once when the channel dies."""
@@ -77,30 +73,13 @@ class Channel:
 
     # -- IPCS side ------------------------------------------------------------
 
-    def _deliver(self, data: bytes) -> None:
+    def _deliver(self, chunks: List[bytes]) -> None:
+        """Hand one delivery's chunks/records to the receive handler."""
         if not self.open:
             return
-        self.bytes_received += len(data)
+        self.bytes_received += sum(map(len, chunks))
         if self._receive_handler is not None:
-            self._receive_handler(data)
-
-    def _deliver_many(self, chunks: List[bytes]) -> None:
-        """Deliver a train's worth of chunks in one call.  The open
-        check runs once up front and again only if a handler closes the
-        channel mid-train (matching what per-chunk delivery would do)."""
-        if not self.open:
-            return
-        batch = self._batch_receive_handler
-        if batch is not None and len(chunks) > 1:
-            self.bytes_received += sum(len(c) for c in chunks)
-            batch(chunks)
-            return
-        for chunk in chunks:
-            if not self.open:
-                return
-            self.bytes_received += len(chunk)
-            if self._receive_handler is not None:
-                self._receive_handler(chunk)
+            self._receive_handler(chunks)
 
     def _mark_closed(self, reason: str) -> None:
         if self._closed_reason is not None:
@@ -165,7 +144,6 @@ class Ipcs:
         self.network = network
         self.iface: Interface = machine.interface(network.name)
         self.iface.bind_protocol(self.protocol, self._on_datagram)
-        self.iface.bind_protocol_batch(self.protocol, self._on_datagram_many)
         machine.register_ipcs(network.name, self.protocol, self)
         # Local FIFO for this endpoint's immediate work (rx coalescing
         # and the like): posts land in O(1) and only the queue head is
@@ -192,15 +170,10 @@ class Ipcs:
         """Format the physical-address blob for a local binding."""
         raise NotImplementedError
 
-    def _on_datagram(self, datagram) -> None:
+    def _on_datagram(self, datagrams: List) -> None:
+        """One frame train's worth of datagrams for this IPCS, in
+        arrival order (PROTOCOL.md §13)."""
         raise NotImplementedError
-
-    def _on_datagram_many(self, datagrams: List) -> None:
-        """A frame train's worth of datagrams for this IPCS.  The base
-        implementation replays them one by one; concrete IPCSs override
-        it to amortize per-frame work (PROTOCOL.md §13)."""
-        for datagram in datagrams:
-            self._on_datagram(datagram)
 
     def _channel_send(self, channel: Channel, data: bytes) -> None:
         raise NotImplementedError

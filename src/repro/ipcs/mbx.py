@@ -181,36 +181,33 @@ class SimMbxIpcs(Ipcs):
                         if isinstance(part, (bytes, bytearray)))
         self.iface.send(dst_host, self.protocol, payload, size=size)
 
-    def _on_datagram(self, datagram: Datagram) -> None:
-        kind = datagram.payload[0]
-        if kind == _OPEN:
-            self._handle_open(datagram)
-        elif kind == _OPEN_ACK:
-            self._handle_open_ack(datagram)
-        elif kind == _NAK:
-            self._handle_nak(datagram)
-        elif kind == _PUT:
-            self._handle_put(datagram)
-        elif kind == _PUT_ACK:
-            self._handle_put_ack(datagram)
-        elif kind == _CLOSE:
-            self._handle_close(datagram)
-
-    def _on_datagram_many(self, datagrams) -> None:
+    def _on_datagram(self, datagrams) -> None:
         """A frame train (PROTOCOL.md §13): runs of PUT records for one
         connection are acknowledged record-by-record (the ACK burst
         coalesces into its own train on the way back) and handed to the
-        channel as one batch, boundaries intact."""
+        channel as one delivery — record semantics: one send, one
+        record, boundaries intact."""
         i = 0
         n = len(datagrams)
         while i < n:
-            payload = datagrams[i].payload
-            if payload[0] != _PUT:
-                self._on_datagram(datagrams[i])
+            datagram = datagrams[i]
+            payload = datagram.payload
+            kind = payload[0]
+            if kind != _PUT:
                 i += 1
+                if kind == _OPEN:
+                    self._handle_open(datagram)
+                elif kind == _OPEN_ACK:
+                    self._handle_open_ack(datagram)
+                elif kind == _NAK:
+                    self._handle_nak(datagram)
+                elif kind == _PUT_ACK:
+                    self._handle_put_ack(datagram)
+                elif kind == _CLOSE:
+                    self._handle_close(datagram)
                 continue
             local_id = payload[1]
-            j = i
+            j = i + 1
             while (j < n and datagrams[j].payload[0] == _PUT
                    and datagrams[j].payload[1] == local_id):
                 j += 1
@@ -222,7 +219,7 @@ class SimMbxIpcs(Ipcs):
                     self._transmit(conn.remote_host,
                                    (_PUT_ACK, conn.remote_id, seq))
                     records.append(data)
-                conn.channel._deliver_many(records)
+                conn.channel._deliver(records)
             i = j
 
     def _handle_open(self, datagram: Datagram) -> None:
@@ -257,15 +254,6 @@ class SimMbxIpcs(Ipcs):
         conn = self._conns.get(local_id)
         if conn is not None and conn.state == "OPEN_SENT":
             conn.state = "FAILED"
-
-    def _handle_put(self, datagram: Datagram) -> None:
-        _, local_id, seq, data = datagram.payload
-        conn = self._conns.get(local_id)
-        if conn is None or conn.state != "ESTABLISHED":
-            return
-        self._transmit(conn.remote_host, (_PUT_ACK, conn.remote_id, seq))
-        # Record semantics: one send, one delivery, boundaries intact.
-        conn.channel._deliver(data)
 
     def _handle_put_ack(self, datagram: Datagram) -> None:
         _, local_id, seq = datagram.payload

@@ -235,22 +235,7 @@ class SimTcpIpcs(Ipcs):
                         if isinstance(part, (bytes, bytearray)))
         self.iface.send(dst_host, self.protocol, payload, size=size)
 
-    def _on_datagram(self, datagram: Datagram) -> None:
-        kind = datagram.payload[0]
-        if kind == _SYN:
-            self._handle_syn(datagram)
-        elif kind == _SYNACK:
-            self._handle_synack(datagram)
-        elif kind == _RST:
-            self._handle_rst(datagram)
-        elif kind == _DATA:
-            self._handle_data(datagram)
-        elif kind == _ACK:
-            self._handle_ack(datagram)
-        elif kind == _CLOSE:
-            self._handle_close(datagram)
-
-    def _on_datagram_many(self, datagrams) -> None:
+    def _on_datagram(self, datagrams) -> None:
         """A frame train (PROTOCOL.md §13): runs of DATA segments for
         one connection amortize the connection lookup, the in-order
         reassembly scan, and the rx-flush scheduling decision.  Every
@@ -260,13 +245,24 @@ class SimTcpIpcs(Ipcs):
         i = 0
         n = len(datagrams)
         while i < n:
-            payload = datagrams[i].payload
-            if payload[0] != _DATA:
-                self._on_datagram(datagrams[i])
+            datagram = datagrams[i]
+            payload = datagram.payload
+            kind = payload[0]
+            if kind != _DATA:
                 i += 1
+                if kind == _SYN:
+                    self._handle_syn(datagram)
+                elif kind == _SYNACK:
+                    self._handle_synack(datagram)
+                elif kind == _RST:
+                    self._handle_rst(datagram)
+                elif kind == _ACK:
+                    self._handle_ack(datagram)
+                elif kind == _CLOSE:
+                    self._handle_close(datagram)
                 continue
             local_id = payload[1]
-            j = i
+            j = i + 1
             while (j < n and datagrams[j].payload[0] == _DATA
                    and datagrams[j].payload[1] == local_id):
                 j += 1
@@ -277,13 +273,17 @@ class SimTcpIpcs(Ipcs):
                     _, _, seq, data = datagrams[k].payload
                     self._transmit(conn.remote_host,
                                    (_ACK, conn.remote_id, seq))
-                    if seq >= conn.next_recv_seq:
+                    if seq >= conn.next_recv_seq:  # else a duplicate
                         out_of_order[seq] = data
                 while conn.next_recv_seq in out_of_order:
                     conn.rx_pending.append(
                         out_of_order.pop(conn.next_recv_seq))
                     conn.next_recv_seq += 1
                 if conn.rx_pending and not conn.rx_flush_scheduled:
+                    # Byte-stream semantics: defer delivery one
+                    # scheduler tick so segments arriving at the same
+                    # instant coalesce into one chunk — receivers must
+                    # frame their own messages.
                     conn.rx_flush_scheduled = True
                     self.run_queue.post(lambda c=conn: self._flush_rx(c),
                                         note="tcp rx flush")
@@ -334,32 +334,13 @@ class SimTcpIpcs(Ipcs):
             conn.state = "FAILED"
             conn.fail_reason = "refused"
 
-    def _handle_data(self, datagram: Datagram) -> None:
-        _, local_id, seq, data = datagram.payload
-        conn = self._conns.get(local_id)
-        if conn is None or conn.state != "ESTABLISHED":
-            return
-        self._transmit(conn.remote_host, (_ACK, conn.remote_id, seq))
-        if seq < conn.next_recv_seq:
-            return  # duplicate, already delivered
-        conn.out_of_order[seq] = data
-        while conn.next_recv_seq in conn.out_of_order:
-            conn.rx_pending.append(conn.out_of_order.pop(conn.next_recv_seq))
-            conn.next_recv_seq += 1
-        if conn.rx_pending and not conn.rx_flush_scheduled:
-            # Byte-stream semantics: defer delivery one scheduler tick so
-            # segments arriving at the same instant coalesce into one
-            # chunk — receivers must frame their own messages.
-            conn.rx_flush_scheduled = True
-            self.run_queue.post(lambda: self._flush_rx(conn), note="tcp rx flush")
-
     def _flush_rx(self, conn: _TcpConn) -> None:
         conn.rx_flush_scheduled = False
         if not conn.rx_pending or conn.state != "ESTABLISHED":
             return
         chunk = b"".join(conn.rx_pending)
         conn.rx_pending.clear()
-        conn.channel._deliver(chunk)
+        conn.channel._deliver([chunk])
 
     def _handle_ack(self, datagram: Datagram) -> None:
         _, local_id, seq = datagram.payload

@@ -57,33 +57,23 @@ class Interface:
     def __init__(self, network: "Network", host: str):
         self.network = network
         self.host = host
-        self._handlers: Dict[str, Callable[[Datagram], None]] = {}
-        self._batch_handlers: Dict[str, Callable[[List[Datagram]], None]] = {}
+        self._handlers: Dict[str, Callable[[List[Datagram]], None]] = {}
         self.up = True
 
-    def bind_protocol(self, protocol: str, handler: Callable[[Datagram], None]) -> None:
-        """Register the per-protocol receive handler (one per IPCS)."""
+    def bind_protocol(self, protocol: str,
+                      handler: Callable[[List[Datagram]], None]) -> None:
+        """Register the per-protocol receive handler (one per IPCS).  It
+        receives one frame train per delivery (PROTOCOL.md §13) — a
+        single frame arrives as a train of one."""
         if protocol in self._handlers:
             raise SimulationError(
                 f"protocol {protocol!r} already bound on {self.host}@{self.network.name}"
             )
         self._handlers[protocol] = handler
 
-    def bind_protocol_batch(
-        self, protocol: str,
-        handler: Callable[[List[Datagram]], None],
-    ) -> None:
-        """Register an optional batch receive handler: a frame train
-        (PROTOCOL.md §13) for this protocol arrives as one call instead
-        of one :meth:`deliver` per frame.  Purely an efficiency
-        contract — the handler must process the frames exactly as the
-        per-frame handler would, in list order."""
-        self._batch_handlers[protocol] = handler
-
-    def unbind_protocol(self, protocol: str) -> None:
-        """Remove a protocol's receive handler."""
-        self._handlers.pop(protocol, None)
-        self._batch_handlers.pop(protocol, None)
+    # Retired name kept only because the end-to-end benchmark's span
+    # tracer resolves it by name; drop with the next benchmark change.
+    bind_protocol_batch = bind_protocol
 
     def send(self, dst_host: str, protocol: str, payload: Any,
              size: Optional[int] = None) -> None:
@@ -103,49 +93,21 @@ class Interface:
             size=size,
         )
 
-    def deliver(self, datagram: Datagram) -> None:
-        """Called by the network when a frame arrives for this host."""
-        if not self.up:
-            return
-        handler = self._handlers.get(datagram.protocol)
-        if handler is not None:
-            handler(datagram)
-        # No handler: the frame is dropped, as a real stack would discard
-        # a segment for a protocol nobody registered.
-
-    def deliver_train(self, datagrams: List[Datagram]) -> None:
+    def deliver(self, datagrams: List[Datagram]) -> None:
         """Called by the network when a frame train arrives — every
-        datagram shares this host and one protocol.  One handler lookup
-        serves the whole batch; an IPCS that registered a batch handler
-        receives the train intact, anyone else gets the per-frame
-        upcalls in order."""
+        datagram shares this host and one protocol, and one handler
+        lookup serves the whole train."""
         if not self.up:
             return
-        protocol = datagrams[0].protocol
-        batch = self._batch_handlers.get(protocol)
-        if batch is not None and len(datagrams) > 1:
-            batch(datagrams)
-            return
-        handler = self._handlers.get(protocol)
+        handler = self._handlers.get(datagrams[0].protocol)
         if handler is not None:
-            for datagram in datagrams:
-                handler(datagram)
+            handler(datagrams)
+        # No handler: the frames are dropped, as a real stack would
+        # discard segments for a protocol nobody registered.
 
-
-class _Train:
-    """One open frame train: back-to-back frames sharing a destination,
-    protocol and delivery delay, coalesced into a single scheduled
-    delivery event (PROTOCOL.md §13)."""
-
-    __slots__ = ("iface", "protocol", "born_at", "delay", "frames")
-
-    def __init__(self, iface: "Interface", protocol: str, born_at: float,
-                 delay: float, first: Datagram):
-        self.iface = iface
-        self.protocol = protocol
-        self.born_at = born_at
-        self.delay = delay
-        self.frames: List[Datagram] = [first]
+    # Retired name kept only because the end-to-end benchmark's span
+    # tracer resolves it by name; drop with the next benchmark change.
+    deliver_train = deliver
 
 
 class Network:
@@ -184,15 +146,17 @@ class Network:
         self.frames_delivered = 0
         self.bytes_sent = 0
         # Frame trains (PROTOCOL.md §13): coalesce back-to-back frames
-        # sharing (dst_host, protocol, delay) at one transmit instant
-        # into a single delivery event.  Purely a delivery-path
-        # construct — transmit-side accounting, the drop decision and
-        # the trace hook stay per-frame, so the wire is unaffected.
-        # With ``train_enabled=False`` the pre-train per-frame schedule
-        # is reproduced event-for-event.
-        self.train_enabled = True
+        # sharing (destination interface, protocol, delay) at one
+        # transmit instant into a single delivery event.  Purely a
+        # delivery-path construct — transmit-side accounting, the drop
+        # decision and the trace hook stay per-frame, so the wire is
+        # unaffected.
+        # With ``train_max = 1`` every frame is a train of one and the
+        # pre-train per-frame schedule is reproduced event-for-event.
         self.train_max = 64
-        self._open_train: Optional[_Train] = None
+        # The one open train — its frames and its coalescing key.
+        self._open_train: Optional[List[Datagram]] = None
+        self._open_key: Optional[tuple] = None
         # Delivery events that carried more than one frame.
         self.trains_coalesced = 0
         # Optional wire tap (see repro.netsim.tracelog): called for
@@ -243,54 +207,38 @@ class Network:
         if self.bandwidth:
             delay += size / self.bandwidth
 
-        if self.train_enabled:
-            train = self._open_train
-            if (train is not None
-                    and train.iface is dst
-                    and train.protocol == datagram.protocol
-                    and train.delay == delay
-                    and train.born_at == self.scheduler.now
-                    and len(train.frames) < self.train_max):
-                # Back-to-back same-key frame: ride the open train's
-                # already-scheduled delivery event.  The event was
-                # posted at the head frame's (time, seq), so trains
-                # fire in head-seq order and delivery order equals the
-                # per-frame order exactly.
-                train.frames.append(datagram)
-                return
-            # Different key, a time advance, or a full train: this
-            # frame opens a fresh train (closing the previous one — it
-            # can no longer be joined).
-            train = _Train(dst, datagram.protocol,
-                           self.scheduler.now, delay, datagram)
-            self._open_train = train
-
-            def deliver_train():
-                # Close the train before delivering: a frame
-                # transmitted from inside a delivery upcall must start
-                # a new train, never join one already firing.
-                if self._open_train is train:
-                    self._open_train = None
-                frames = train.frames
-                self.frames_delivered += len(frames)
-                if len(frames) > 1:
-                    self.trains_coalesced += 1
-                dst.deliver_train(frames)
-
-            self.scheduler.post(
-                delay,
-                deliver_train,
-                note=f"{self.name}:{datagram.src_host}->{datagram.dst_host}",
-            )
+        key = (dst, datagram.protocol, delay, self.scheduler.now)
+        train = self._open_train
+        if (train is not None and self._open_key == key
+                and len(train) < self.train_max):
+            # Back-to-back same-key frame: ride the open train's
+            # already-scheduled delivery event.  The event was posted
+            # at the head frame's (time, seq), so trains fire in
+            # head-seq order and delivery order equals the per-frame
+            # order exactly.
+            train.append(datagram)
             return
+        # Different key, a time advance, or a full train: this frame
+        # opens a fresh train (closing the previous one — it can no
+        # longer be joined).
+        train = [datagram]
+        self._open_train = train
+        self._open_key = key
 
         def deliver():
-            self.frames_delivered += 1
-            dst.deliver(datagram)
+            # Close the train before delivering: a frame transmitted
+            # from inside a delivery upcall must start a new train,
+            # never join one already firing.
+            if self._open_train is train:
+                self._open_train = None
+            self.frames_delivered += len(train)
+            if len(train) > 1:
+                self.trains_coalesced += 1
+            dst.deliver(train)
 
-        # Fire-and-forget: a frame in flight is never cancelled, so the
-        # pooled no-handle flavour keeps the per-frame cost to one
-        # recycled event object (PROTOCOL.md §11).
+        # Fire-and-forget: a train in flight is never cancelled, so the
+        # pooled no-handle flavour keeps the cost to one recycled event
+        # object (PROTOCOL.md §11).
         self.scheduler.post(
             delay,
             deliver,

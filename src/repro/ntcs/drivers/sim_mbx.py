@@ -20,12 +20,9 @@ class RecordChannel(MessageChannel):
         """One NTCS message = one mailbox record."""
         self.channel.send(data)
 
-    def _on_bytes(self, data: bytes) -> None:
-        self._emit(data)
-
-    def _on_bytes_many(self, chunks) -> None:
-        # A frame train (PROTOCOL.md §13): records map to messages 1:1.
-        self._emit_train(list(chunks))
+    def _on_bytes(self, chunks) -> None:
+        # Records map to messages 1:1, a train to a train.
+        self._emit(chunks)
 
 
 class SimMbxDriver(StdIfDriver):

@@ -30,18 +30,14 @@ class FramedChannel(MessageChannel):
         """Frame one NTCS message with a shift-mode length prefix."""
         self.channel.send(shift_encode_u32s([len(data)]) + data)
 
-    def _on_bytes(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        self._emit_train(self._extract_all())
-
-    def _on_bytes_many(self, chunks) -> None:
-        # A frame train (PROTOCOL.md §13): extend the buffer with every
-        # chunk first, then extract all complete messages in one pass
-        # and hand them up as one train.
+    def _on_bytes(self, chunks) -> None:
+        # Extend the buffer with every chunk of the delivery first, then
+        # extract all complete messages in one pass and hand them up as
+        # one train (PROTOCOL.md §13).
         buffer = self._buffer
         for chunk in chunks:
             buffer.extend(chunk)
-        self._emit_train(self._extract_all())
+        self._emit(self._extract_all())
 
     def _extract_all(self) -> list:
         """Pop every complete length-prefixed message off the buffer."""

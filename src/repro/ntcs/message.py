@@ -198,6 +198,8 @@ def header_views(frames: Sequence[Union[bytes, bytearray, memoryview]]
     :class:`HeaderView` per frame.  Raises ProtocolError on the first
     short or bad-magic frame, like per-frame construction would.
     """
+    if len(frames) == 1:
+        return [HeaderView(frames[0])]  # a train of one needs no join
     for frame in frames:
         if len(frame) < HEADER_BYTES:
             raise ProtocolError(f"short NTCS message: {len(frame)} bytes")

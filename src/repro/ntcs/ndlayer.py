@@ -129,19 +129,16 @@ class Lvc:
         self.rx_depth = 0
         self.rx_high_water = 0
         # Optional fast-path hook (installed by the Gateway on spliced
-        # LVCs): called with each raw inbound frame *before* decoding;
-        # returning True means the frame was consumed (forwarded) and
-        # the normal decode/dispatch path is skipped.
-        self.frame_tap: Optional[Callable[[bytes], bool]] = None
-        # Train form of the tap (PROTOCOL.md §13): called with the
-        # pending frame sequence; returns how many frames of its prefix
-        # it consumed (spliced through in one batch).  Must never pump.
-        self.frame_tap_train: Optional[Callable[[Sequence], int]] = None
+        # LVCs): called with a run of raw inbound frames *before*
+        # decoding; returns how many frames of the run's prefix it
+        # consumed (forwarded), which then skip the normal
+        # decode/dispatch path.  Must never pump.
+        self.frame_tap: Optional[Callable[[List[bytes]], int]] = None
         # Pending inbound train items: raw frames, plus already-decoded
         # messages the batch decoder put back in their frames' places.
         # One shared deque per LVC keeps delivery in arrival order even
         # when an upcall blocks mid-walk and more frames arrive
-        # re-entrantly (see NdLayer._on_raw_train).
+        # re-entrantly (see NdLayer._on_raw).
         self.rx_train: Deque[Union[bytes, "m.Msg"]] = deque()
 
     @property
@@ -319,8 +316,7 @@ class NdLayer:
 
     def _install(self, lvc: Lvc) -> None:
         self._lvcs[lvc.lvc_id] = lvc
-        lvc.mchan.set_message_handler(lambda raw: self._on_raw(lvc, raw))
-        lvc.mchan.set_train_handler(lambda raws: self._on_raw_train(lvc, raws))
+        lvc.mchan.set_message_handler(lambda raws: self._on_raw(lvc, raws))
         lvc.mchan.set_close_handler(lambda reason: self._on_closed(lvc, reason))
 
     def _on_accept(self, mchan: MessageChannel) -> None:
@@ -328,57 +324,30 @@ class NdLayer:
         lvc.state = "AWAIT_HELLO"
         self._install(lvc)
 
-    def _on_raw(self, lvc: Lvc, raw: bytes) -> None:
-        # Structure (length/magic/body length) is validated here, but
-        # the header-checksum comparison is deferred to the terminating
-        # endpoint: HELLO traffic terminates in this layer, so it is
-        # verified below; everything else is verified by the IP-Layer
-        # when it dispatches — never on gateway pass-through hops
-        # (PROTOCOL.md, "Fast path and wire invariance").
-        tap = lvc.frame_tap
-        if tap is not None and tap(raw):
-            # Spliced pass-through: the Gateway forwarded the raw frame
-            # from its header view alone — no Msg was materialized.
-            lvc.messages_received += 1
-            return
-        try:
-            msg = m.Msg.decode(raw, verify=False)
-        except ProtocolError:
-            self._malformed(lvc)
-            return
-        self._dispatch_decoded(lvc, msg)
-
-    def _dispatch_decoded(self, lvc: Lvc, msg: m.Msg) -> None:
-        """The post-decode half of :meth:`_on_raw`, shared with the
-        train walk (whose messages were header-decoded in batch)."""
-        lvc.messages_received += 1
-        self.nucleus.trace(self.LAYER, "receive", caller="wire",
-                           reason=msg.kind_name)
-        if msg.kind in (m.LVC_HELLO, m.LVC_HELLO_ACK):
-            if not msg.checksum_ok():
-                self._malformed(lvc)
-                return
-            if msg.kind == m.LVC_HELLO:
-                self._on_hello(lvc, msg)
-            else:
-                self._on_hello_ack(lvc, msg)
-        else:
-            self._maybe_purge_tadd(lvc, msg)
-            self._message_upcall(lvc, msg)
-
-    def _on_raw_train(self, lvc: Lvc, raws: List[bytes]) -> None:
+    def _on_raw(self, lvc: Lvc, raws: List[bytes]) -> None:
         """Deliver a frame train (PROTOCOL.md §13).
 
-        Every pending item sits on the LVC's shared deque and is popped
-        *before* its upcall, so a handler that blocks mid-walk — and
-        receives more frames on this LVC re-entrantly — drains the same
-        deque: delivery order is arrival order, exactly what the
-        per-frame path produces.  Batch work happens on contiguous
-        runs: a spliced LVC's gateway tap forwards its maximal prefix
-        in one call, and a terminating run of raw frames is
-        header-decoded with one struct call, the decoded messages
-        taking their frames' places at the front of the deque.
+        A train of one takes the per-frame path and opens no train
+        scope, so its owed-grant checks run per message.  A longer
+        train is walked inside one scope.  Every pending item sits on
+        the LVC's shared deque and is popped *before* its upcall, so a
+        handler that blocks mid-walk — and receives more frames on this
+        LVC re-entrantly — drains the same deque.  Batch work happens
+        on contiguous runs: a spliced LVC's gateway tap forwards its
+        maximal prefix in one call, and a terminating run of raw
+        frames is header-decoded with one struct call, the decoded
+        messages taking their frames' places at the front of the deque.
         """
+        if len(raws) == 1:
+            tap = lvc.frame_tap
+            if tap is not None and tap(raws):
+                # Spliced pass-through: the Gateway forwarded the raw
+                # frame from its header view alone — no Msg was
+                # materialized.
+                lvc.messages_received += 1
+            else:
+                self._decode(lvc, raws[0])
+            return
         nucleus = self.nucleus
         pending = lvc.rx_train
         pending.extend(raws)
@@ -396,40 +365,72 @@ class NdLayer:
                     pending.popleft()
                     self._dispatch_decoded(lvc, head)
                     continue
-                tap_train = lvc.frame_tap_train
-                if tap_train is not None:
-                    taken = tap_train(pending)
-                    if taken:
-                        for _ in range(taken):
-                            pending.popleft()
-                        lvc.messages_received += taken
-                        incr(ND_TRAIN_FRAMES, taken)
-                        continue
-                    # Head not spliceable (control frame, dismantled
-                    # splice, ...): one frame through the full path.
-                    self._on_raw(lvc, pending.popleft())
-                    continue
                 run = 1
                 n = len(pending)
                 while run < n and type(pending[run]) is bytes:
                     run += 1
-                if run > 1:
-                    frames = [pending[i] for i in range(run)]
+                frames = [pending[i] for i in range(run)]
+                tap = lvc.frame_tap
+                if tap is not None:
+                    taken = tap(frames)
+                    if taken:
+                        for _ in range(taken):
+                            pending.popleft()
+                        lvc.messages_received += taken
+                        if taken > 1:
+                            incr(ND_TRAIN_FRAMES, taken)
+                        continue
+                elif run > 1:
                     try:
                         msgs = m.decode_frames(frames)
                     except ProtocolError:
-                        # Malformed somewhere in the run: the per-frame
-                        # path keeps the error behavior identical.
-                        self._on_raw(lvc, pending.popleft())
+                        msgs = None
+                    if msgs is not None:
+                        for _ in range(run):
+                            pending.popleft()
+                        pending.extendleft(reversed(msgs))
+                        incr(ND_TRAIN_FRAMES, run)
                         continue
-                    for _ in range(run):
-                        pending.popleft()
-                    pending.extendleft(reversed(msgs))
-                    incr(ND_TRAIN_FRAMES, run)
-                    continue
-                self._on_raw(lvc, pending.popleft())
+                # One frame through the full path: the head is not
+                # spliceable (control frame, dismantled splice, ...),
+                # stands alone, or starts a run holding a malformed
+                # frame (the per-frame path keeps the error behavior
+                # identical).
+                self._decode(lvc, pending.popleft())
         finally:
             nucleus.train_end()
+
+    def _decode(self, lvc: Lvc, raw: bytes) -> None:
+        # Structure (length/magic/body length) is validated here, but
+        # the header-checksum comparison is deferred to the terminating
+        # endpoint: HELLO traffic terminates in this layer, so it is
+        # verified below; everything else is verified by the IP-Layer
+        # when it dispatches — never on gateway pass-through hops
+        # (PROTOCOL.md, "Fast path and wire invariance").
+        try:
+            msg = m.Msg.decode(raw, verify=False)
+        except ProtocolError:
+            self._malformed(lvc)
+            return
+        self._dispatch_decoded(lvc, msg)
+
+    def _dispatch_decoded(self, lvc: Lvc, msg: m.Msg) -> None:
+        """Hand one decoded message to its terminating layer: HELLO
+        traffic here, everything else up to the IP-Layer."""
+        lvc.messages_received += 1
+        self.nucleus.trace(self.LAYER, "receive", caller="wire",
+                           reason=msg.kind_name)
+        if msg.kind in (m.LVC_HELLO, m.LVC_HELLO_ACK):
+            if not msg.checksum_ok():
+                self._malformed(lvc)
+                return
+            if msg.kind == m.LVC_HELLO:
+                self._on_hello(lvc, msg)
+            else:
+                self._on_hello_ack(lvc, msg)
+        else:
+            self._maybe_purge_tadd(lvc, msg)
+            self._message_upcall(lvc, msg)
 
     def _malformed(self, lvc: Lvc) -> None:
         self.nucleus.counters.incr("nd_malformed_messages")

@@ -79,14 +79,14 @@ class NucleusConfig:
         flow_probe_timeout: virtual seconds a zero-credit sender waits
             per credit probe before retrying (bounded retries, then
             the send fails as destination-unavailable).
-        train_enabled: frame trains (PROTOCOL.md §13) — coalesce
-            back-to-back same-destination frames into one scheduled
-            delivery event and keep the batch intact down the receive
-            stack.  Purely a delivery-path construct: the wire is
-            byte-identical either way, and off reproduces the
-            pre-train per-frame event schedule event-for-event.
-        train_max: maximum frames one train may carry before the next
-            frame opens a fresh train (the size flush rule).
+        train_max: frame trains (PROTOCOL.md §13) — the most
+            back-to-back same-destination frames one scheduled
+            delivery event may carry before the next frame opens a
+            fresh train (the size flush rule).  Every receive path
+            takes a train; a frame is a train of one.  Purely a
+            delivery-path construct: the wire is byte-identical for
+            any value, and ``train_max=1`` (the ablation) reproduces
+            the pre-train per-frame event schedule event-for-event.
         trace: record layer entry/exit (Sec. 6.2 debugging support).
     """
 
@@ -109,7 +109,6 @@ class NucleusConfig:
     flow_low_watermark: Optional[int] = None
     flow_high_watermark: Optional[int] = None
     flow_probe_timeout: float = 1.0
-    train_enabled: bool = True
     train_max: int = 64
     trace: bool = False
 

@@ -33,15 +33,8 @@ class MessageChannel:
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self._message_handler: Optional[Callable[[bytes], None]] = None
-        self._train_handler: Optional[Callable[[List[bytes]], None]] = None
+        self._message_handler: Optional[Callable[[List[bytes]], None]] = None
         channel.set_receive_handler(self._on_bytes)
-        # Batch delivery is an optional channel capability: real-socket
-        # adapters and other duck-typed channels only provide the
-        # per-chunk path, which stays fully sufficient.
-        bind_batch = getattr(channel, "set_batch_receive_handler", None)
-        if bind_batch is not None:
-            bind_batch(self._on_bytes_many)
 
     # -- upward-facing API ---------------------------------------------------
 
@@ -49,18 +42,15 @@ class MessageChannel:
         """Transmit one whole NTCS message (driver-specific framing)."""
         raise NotImplementedError
 
-    def set_message_handler(self, handler: Callable[[bytes], None]) -> None:
-        """Install the per-message delivery callback."""
+    def set_message_handler(self, handler: Callable[[List[bytes]], None]) -> None:
+        """Install the delivery callback.  It receives the whole
+        messages of one delivery in arrival order — a frame train
+        (PROTOCOL.md §13), a single message being a train of one."""
         self._message_handler = handler
 
-    def set_train_handler(
-            self, handler: Callable[[List[bytes]], None]) -> None:
-        """Install an optional callback receiving a frame train's worth
-        of whole messages at once (PROTOCOL.md §13).  Efficiency only:
-        the handler must process the messages exactly as the per-message
-        handler would, in list order.  Without one, trains fall back to
-        per-message upcalls."""
-        self._train_handler = handler
+    # Retired name kept only because the end-to-end benchmark's span
+    # tracer resolves it by name; drop with the next benchmark change.
+    set_train_handler = set_message_handler
 
     def set_close_handler(self, handler: Callable[[str], None]) -> None:
         """Install the channel-death callback."""
@@ -76,32 +66,14 @@ class MessageChannel:
 
     # -- downward-facing -------------------------------------------------
 
-    def _on_bytes(self, data: bytes) -> None:
+    def _on_bytes(self, chunks: List[bytes]) -> None:
+        """One delivery's chunks/records from the IPCS."""
         raise NotImplementedError
 
-    def _on_bytes_many(self, chunks: List[bytes]) -> None:
-        """A train's worth of chunks/records from the IPCS.  Drivers
-        override this to extract all messages in one pass; the default
-        replays the per-chunk path."""
-        for chunk in chunks:
-            self._on_bytes(chunk)
-
-    def _emit(self, message: bytes) -> None:
-        if self._message_handler is not None:
-            self._message_handler(message)
-
-    def _emit_train(self, messages: List[bytes]) -> None:
-        """Hand a batch of complete messages upward: one call when a
-        train handler is installed, per-message upcalls otherwise."""
-        if not messages:
-            return
-        if self._train_handler is not None and len(messages) > 1:
-            self._train_handler(messages)
-            return
-        handler = self._message_handler
-        if handler is not None:
-            for message in messages:
-                handler(message)
+    def _emit(self, messages: List[bytes]) -> None:
+        """Hand a delivery's complete messages upward in one call."""
+        if messages and self._message_handler is not None:
+            self._message_handler(messages)
 
 
 class StdIfDriver:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import errno
 import socket
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ChannelClosed, ConnectionRefused, NetworkUnreachable
 from repro.machine.machine import Machine
@@ -29,7 +29,7 @@ class RealSocketChannel:
         self.kernel = kernel
         self.sock = sock
         self.open = True
-        self._receive_handler: Optional[Callable[[bytes], None]] = None
+        self._receive_handler: Optional[Callable[[List[bytes]], None]] = None
         self._close_handler: Optional[Callable[[str], None]] = None
         self._closed_reason: Optional[str] = None
         self._outbound = bytearray()
@@ -41,8 +41,9 @@ class RealSocketChannel:
 
     # -- Channel interface ------------------------------------------------------
 
-    def set_receive_handler(self, handler: Callable[[bytes], None]) -> None:
-        """Install the per-chunk receive callback."""
+    def set_receive_handler(self, handler: Callable[[List[bytes]], None]) -> None:
+        """Install the receive callback; each ``recv`` is delivered as
+        a one-chunk list, like a simulated channel's train of one."""
         self._receive_handler = handler
 
     def set_close_handler(self, handler: Callable[[str], None]) -> None:
@@ -100,7 +101,7 @@ class RealSocketChannel:
             return
         self.bytes_received += len(data)
         if self._receive_handler is not None:
-            self._receive_handler(data)
+            self._receive_handler([data])
 
     def _shutdown(self, reason: str) -> None:
         if self._closed_reason is not None:

@@ -14,7 +14,7 @@ def test_bandwidth_adds_serialization_delay():
     a = slow.attach("a")
     b = slow.attach("b")
     arrivals = []
-    b.bind_protocol("x", lambda d: arrivals.append(sched.now))
+    b.bind_protocol("x", lambda ds: arrivals.extend(sched.now for _ in ds))
     a.send("b", "x", ("small",), size=100)
     a.send("b", "x", ("big",), size=1000)
     sched.run_until_idle()
@@ -29,7 +29,7 @@ def test_no_bandwidth_means_latency_only():
     a = fast.attach("a")
     b = fast.attach("b")
     arrivals = []
-    b.bind_protocol("x", lambda d: arrivals.append(sched.now))
+    b.bind_protocol("x", lambda ds: arrivals.extend(sched.now for _ in ds))
     a.send("b", "x", ("huge",), size=10 ** 9)
     sched.run_until_idle()
     assert arrivals[0] == pytest.approx(0.002)

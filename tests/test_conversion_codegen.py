@@ -252,3 +252,20 @@ def test_route_cache_unknown_type_not_cached():
     with pytest.raises(UnknownMessageType) as exc_info:
         reg.lookup_route(999, vax, vax)
     assert exc_info.value.type_id == 999
+
+
+@pytest.mark.parametrize("body", [b"-4:ab\x1f", b"-100:ab\x1f"],
+                         ids=["rewinds-cursor", "index-error"])
+def test_packed_decode_rejects_negative_counted_length(body):
+    """A negative counted length is malformed input.  The packed
+    decoder raises ConversionError instead of rewinding its cursor
+    (``-4:ab`` once decoded to ``{'name': 'ab'}``) or escaping as a bare
+    IndexError (``-100:ab``)."""
+    from repro.conversion import PACKED, decode_body
+    from repro.machine.arch import machine_type
+    from repro.testbed import make_registry
+
+    registry = make_registry()
+    type_id = registry.get_by_name("ns_resolve_name").sdef.type_id
+    with pytest.raises(ConversionError, match="negative length"):
+        decode_body(registry, type_id, PACKED, body, machine_type("VAX"))

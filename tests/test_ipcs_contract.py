@@ -48,8 +48,8 @@ def test_contract_bidirectional_bytes(rig):
     rig.listener.on_accept = accepted.append
     channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
     a_got, b_got = [], []
-    channel.set_receive_handler(a_got.append)
-    accepted[0].set_receive_handler(b_got.append)
+    channel.set_receive_handler(a_got.extend)
+    accepted[0].set_receive_handler(b_got.extend)
     channel.send(b"to-b")
     accepted[0].send(b"to-a")
     rig.sched.run_until_idle()
@@ -102,7 +102,7 @@ def test_contract_in_order_delivery(rig):
     rig.listener.on_accept = accepted.append
     channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     for i in range(20):
         channel.send(f"m{i:02d}".encode())
     rig.sched.run_until_idle()
@@ -121,7 +121,7 @@ def test_contract_many_concurrent_channels(rig):
     got = []
     for i, server_chan in enumerate(accepted):
         server_chan.set_receive_handler(
-            lambda data, i=i: got.append((i, data)))
+            lambda chunks, i=i: got.extend((i, c) for c in chunks))
     for i, chan in enumerate(channels):
         chan.send(f"ch{i}".encode())
     rig.sched.run_until_idle()

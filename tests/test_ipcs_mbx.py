@@ -38,7 +38,7 @@ def test_open_and_exchange(sched, pair):
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     assert channel.open
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     channel.send(b"record-1")
     sched.run_until_idle()
     assert got == [b"record-1"]
@@ -52,7 +52,7 @@ def test_record_boundaries_preserved(sched, pair):
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     channel.send(b"abc")
     channel.send(b"def")
     sched.run_until_idle()
@@ -135,7 +135,7 @@ def test_bidirectional_records(sched, pair):
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     client_got = []
-    channel.set_receive_handler(client_got.append)
+    channel.set_receive_handler(client_got.extend)
     accepted[0].send(b"from-server")
     sched.run_until_idle()
     assert client_got == [b"from-server"]
@@ -152,7 +152,7 @@ def test_many_clients_one_mailbox(sched, pair, apollo1):
     assert len(accepted) == 5
     got = []
     for server_channel in accepted:
-        server_channel.set_receive_handler(got.append)
+        server_channel.set_receive_handler(got.extend)
     for i, chan in enumerate(clients):
         chan.send(f"hello-{i}".encode())
     sched.run_until_idle()

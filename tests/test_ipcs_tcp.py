@@ -39,8 +39,8 @@ def test_connect_and_exchange(sched, pair):
     server_channel = accepted[0]
 
     client_got, server_got = [], []
-    channel.set_receive_handler(client_got.append)
-    server_channel.set_receive_handler(server_got.append)
+    channel.set_receive_handler(client_got.extend)
+    server_channel.set_receive_handler(server_got.extend)
     channel.send(b"ping")
     sched.run_until_idle()
     assert server_got == [b"ping"]
@@ -90,7 +90,7 @@ def test_stream_coalescing(sched, pair):
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     channel.send(b"abc")
     channel.send(b"def")
     sched.run_until_idle()
@@ -147,7 +147,7 @@ def test_retransmission_recovers_lost_segment(sched, ether, pair):
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     ether.faults.drop_next(1)
     channel.send(b"retried")
     sched.run_until_idle()
@@ -161,7 +161,7 @@ def test_retransmission_preserves_order_after_loss(sched, ether, pair):
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
     got = []
-    accepted[0].set_receive_handler(got.append)
+    accepted[0].set_receive_handler(got.extend)
     ether.faults.drop_next(1)  # first data segment lost
     channel.send(b"one")
     channel.send(b"two")
@@ -213,7 +213,7 @@ def test_bytes_accounting(sched, pair):
     accepted = []
     listener.on_accept = accepted.append
     channel = client_ipcs.connect(client_proc, listener.address_blob())
-    accepted[0].set_receive_handler(lambda data: None)
+    accepted[0].set_receive_handler(lambda chunks: None)
     channel.send(b"12345")
     sched.run_until_idle()
     assert channel.bytes_sent == 5

@@ -15,7 +15,7 @@ def test_attach_and_send(sched, net):
     a = net.attach("hosta")
     b = net.attach("hostb")
     got = []
-    b.bind_protocol("tcp", lambda d: got.append(d))
+    b.bind_protocol("tcp", got.extend)
     a.send("hostb", "tcp", ("HELLO",))
     assert got == []  # not delivered before latency elapses
     sched.run_until_idle()
@@ -41,8 +41,8 @@ def test_protocol_demultiplexing(sched, net):
     a = net.attach("hosta")
     b = net.attach("hostb")
     tcp_got, mbx_got = [], []
-    b.bind_protocol("tcp", lambda d: tcp_got.append(d.payload))
-    b.bind_protocol("mbx", lambda d: mbx_got.append(d.payload))
+    b.bind_protocol("tcp", lambda ds: tcp_got.extend(d.payload for d in ds))
+    b.bind_protocol("mbx", lambda ds: mbx_got.extend(d.payload for d in ds))
     a.send("hostb", "tcp", ("T",))
     a.send("hostb", "mbx", ("M",))
     sched.run_until_idle()
@@ -59,16 +59,16 @@ def test_unbound_protocol_frame_discarded(sched, net):
 
 def test_double_protocol_bind_rejected(net):
     a = net.attach("hosta")
-    a.bind_protocol("tcp", lambda d: None)
+    a.bind_protocol("tcp", lambda ds: None)
     with pytest.raises(SimulationError):
-        a.bind_protocol("tcp", lambda d: None)
+        a.bind_protocol("tcp", lambda ds: None)
 
 
 def test_downed_interface_neither_sends_nor_receives(sched, net):
     a = net.attach("hosta")
     b = net.attach("hostb")
     got = []
-    b.bind_protocol("tcp", lambda d: got.append(d))
+    b.bind_protocol("tcp", got.extend)
     b.up = False
     a.send("hostb", "tcp", ("X",))
     sched.run_until_idle()
@@ -83,7 +83,7 @@ def test_in_order_delivery_between_pair(sched, net):
     a = net.attach("hosta")
     b = net.attach("hostb")
     got = []
-    b.bind_protocol("tcp", lambda d: got.append(d.payload[0]))
+    b.bind_protocol("tcp", lambda ds: got.extend(d.payload[0] for d in ds))
     for i in range(10):
         a.send("hostb", "tcp", (i,))
     sched.run_until_idle()
@@ -107,7 +107,7 @@ def _wired_pair(sched, net):
     a = net.attach("hosta")
     b = net.attach("hostb")
     got = []
-    b.bind_protocol("tcp", lambda d: got.append(d.payload))
+    b.bind_protocol("tcp", lambda ds: got.extend(d.payload for d in ds))
     return a, b, got
 
 
@@ -137,7 +137,7 @@ def test_partition_blocks_across_groups(sched, net):
     a, _, got = _wired_pair(sched, net)
     c = net.attach("hostc")
     c_got = []
-    c.bind_protocol("tcp", lambda d: c_got.append(d.payload))
+    c.bind_protocol("tcp", lambda ds: c_got.extend(d.payload for d in ds))
     net.faults.partition({"hosta", "hostc"}, {"hostb"})
     a.send("hostb", "tcp", ("blocked",))
     a.send("hostc", "tcp", ("allowed",))

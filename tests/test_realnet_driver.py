@@ -47,7 +47,7 @@ def test_round_trip_and_close_notification(rig):
     client_channel = driver.connect(process, blob, timeout=2.0)
     assert kernel.pump_until(lambda: accepted, timeout=2.0)
     got = []
-    accepted[0].set_message_handler(got.append)
+    accepted[0].set_message_handler(got.extend)
     client_channel.send_message(b"over real sockets")
     assert kernel.pump_until(lambda: got, timeout=2.0)
     assert got == [b"over real sockets"]
@@ -68,7 +68,7 @@ def test_large_message_crosses_socket_buffers(rig):
     client_channel = driver.connect(process, blob, timeout=2.0)
     kernel.pump_until(lambda: accepted, timeout=2.0)
     got = []
-    accepted[0].set_message_handler(got.append)
+    accepted[0].set_message_handler(got.extend)
     big = bytes(range(256)) * 4096  # 1 MiB
     client_channel.send_message(big)
     assert kernel.pump_until(lambda: got, timeout=10.0)

@@ -33,7 +33,7 @@ class FakeChannel:
         self.open = False
 
     def feed(self, data):
-        self._receive_handler(data)
+        self._receive_handler([data])
 
 
 # -- FramedChannel (tcp) --------------------------------------------------------
@@ -49,7 +49,7 @@ def test_framed_reassembles_fragmented_input():
     fake = FakeChannel()
     framed = FramedChannel(fake)
     got = []
-    framed.set_message_handler(got.append)
+    framed.set_message_handler(got.extend)
     wire = b"\x00\x00\x00\x05hello" + b"\x00\x00\x00\x02hi"
     # Deliver byte-by-byte: worst-case fragmentation.
     for i in range(len(wire)):
@@ -61,7 +61,7 @@ def test_framed_handles_coalesced_input():
     fake = FakeChannel()
     framed = FramedChannel(fake)
     got = []
-    framed.set_message_handler(got.append)
+    framed.set_message_handler(got.extend)
     fake.feed(b"\x00\x00\x00\x03abc\x00\x00\x00\x03def\x00\x00")
     fake.feed(b"\x00\x03ghi")
     assert got == [b"abc", b"def", b"ghi"]
@@ -71,7 +71,7 @@ def test_framed_empty_message():
     fake = FakeChannel()
     framed = FramedChannel(fake)
     got = []
-    framed.set_message_handler(got.append)
+    framed.set_message_handler(got.extend)
     framed.send_message(b"")
     fake.feed(b"\x00\x00\x00\x00")
     assert got == [b""]
@@ -80,7 +80,7 @@ def test_framed_empty_message():
 def test_framed_rejects_insane_length():
     fake = FakeChannel()
     framed = FramedChannel(fake)
-    framed.set_message_handler(lambda m: None)
+    framed.set_message_handler(lambda msgs: None)
     with pytest.raises(ProtocolError, match="insane"):
         fake.feed(b"\xFF\xFF\xFF\xFF")
 
@@ -90,7 +90,7 @@ def test_framed_round_trip_via_two_endpoints():
     framed_a = FramedChannel(a)
     framed_b = FramedChannel(b)
     got = []
-    framed_b.set_message_handler(got.append)
+    framed_b.set_message_handler(got.extend)
     for message in (b"x" * 1, b"y" * 1000, b""):
         framed_a.send_message(message)
     for chunk in a.sent:
@@ -104,7 +104,7 @@ def test_record_channel_is_one_to_one():
     fake = FakeChannel()
     record = RecordChannel(fake)
     got = []
-    record.set_message_handler(got.append)
+    record.set_message_handler(got.extend)
     record.send_message(b"whole message")
     assert fake.sent == [b"whole message"]  # no prefix
     fake.feed(b"r1")
@@ -139,7 +139,7 @@ def test_drivers_listen_and_connect_end_to_end(sched, ether, vax1, sun1):
     assert blob.startswith("tcp:ether0:sun1:")
     mchan = driver_a.connect(client, blob)
     got = []
-    accepted[0].set_message_handler(got.append)
+    accepted[0].set_message_handler(got.extend)
     mchan.send_message(b"framed over the stream")
     sched.run_until_idle()
     assert got == [b"framed over the stream"]

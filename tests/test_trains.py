@@ -4,13 +4,14 @@ nothing else.
 
 Three layers of evidence:
 
-* exact-pin ablation — ``train_enabled=False`` reproduces the
-  pre-train per-frame event schedule event-for-event, and turning
-  trains on keeps every wire frame count and application answer while
-  strictly shrinking the event count;
-* a property — delivered message sequences are identical with trains
-  on and off under random coalescing windows (``train_max``), random
-  *deterministic* chaos schedules (gateway crash/restart, drop_next),
+* exact-pin ablation — ``train_max=1`` (every frame a train of one)
+  reproduces the pre-train per-frame event schedule event-for-event,
+  and longer trains keep every wire frame count and application
+  answer while strictly shrinking the event count;
+* a property — delivered message sequences are identical with
+  ``train_max=1`` and a random coalescing window ``train_max=k``
+  under random *deterministic* chaos schedules (gateway
+  crash/restart, drop_next),
   and flow-control stalls.  Probabilistic drops are deliberately
   excluded: ``FaultPlan.should_drop`` draws its seeded RNG per
   transmit, so any schedule that consumes randomness in event order
@@ -37,8 +38,8 @@ from repro.ntcs.nucleus import NucleusConfig
 
 # The per-frame event schedule pinned before trains existed: total
 # scheduler events and per-network wire frames for the 20-call echo
-# workloads below.  ``train_enabled=False`` must reproduce these
-# exactly; trains on must keep the frames and shrink the events.
+# workloads below.  ``train_max=1`` must reproduce these exactly;
+# longer trains must keep the frames and shrink the events.
 SINGLE_NET_OFF_EVENTS = 168
 SINGLE_NET_FRAMES = 114
 TWO_NETS_OFF_EVENTS = 338
@@ -46,9 +47,8 @@ TWO_NETS_ETHER_FRAMES = 150
 TWO_NETS_RING_FRAMES = 118
 
 
-def _echo_workload(make_bed, server_machine, train_enabled, train_max=64):
-    bed = make_bed(config=NucleusConfig(
-        train_enabled=train_enabled, train_max=train_max))
+def _echo_workload(make_bed, server_machine, train_max=64):
+    bed = make_bed(config=NucleusConfig(train_max=train_max))
     echo_server(bed, "dest", server_machine)
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("dest")
@@ -68,12 +68,22 @@ def _coalesced(bed):
     return sum(net.trains_coalesced for net in bed.networks.values())
 
 
+def _counter_total(bed, name):
+    """``name`` summed over every nucleus of the deployment."""
+    nuclei = [commod.nucleus for commod in bed.modules.values()]
+    for gateway in bed.gateways.values():
+        nuclei.extend(gateway.stacks.values())
+    if bed.name_server_instance is not None:
+        nuclei.append(bed.name_server_instance.nucleus)
+    return sum(n.counters.snapshot().get(name, 0) for n in nuclei)
+
+
 # ---------------------------------------------------------------------------
-# Exact-pin ablation: trains off == the pre-train schedule
+# Exact-pin ablation: trains of one == the pre-train schedule
 # ---------------------------------------------------------------------------
 
 def test_ablation_single_net_reproduces_per_frame_schedule():
-    bed, answers = _echo_workload(single_net, "sun1", train_enabled=False)
+    bed, answers = _echo_workload(single_net, "sun1", train_max=1)
     assert bed.scheduler.events_processed == SINGLE_NET_OFF_EVENTS
     assert _wire(bed) == {"ether0": SINGLE_NET_FRAMES}
     assert _coalesced(bed) == 0
@@ -81,7 +91,7 @@ def test_ablation_single_net_reproduces_per_frame_schedule():
 
 
 def test_ablation_two_nets_reproduces_per_frame_schedule():
-    bed, answers = _echo_workload(two_nets, "apollo1", train_enabled=False)
+    bed, answers = _echo_workload(two_nets, "apollo1", train_max=1)
     assert bed.scheduler.events_processed == TWO_NETS_OFF_EVENTS
     assert _wire(bed) == {"ether0": TWO_NETS_ETHER_FRAMES,
                           "ring0": TWO_NETS_RING_FRAMES}
@@ -99,11 +109,23 @@ def test_trains_on_same_wire_same_answers_fewer_events():
             (two_nets, "apollo1", {"ether0": TWO_NETS_ETHER_FRAMES,
                                    "ring0": TWO_NETS_RING_FRAMES},
              TWO_NETS_OFF_EVENTS)):
-        bed, answers = _echo_workload(make_bed, server, train_enabled=True)
+        bed, answers = _echo_workload(make_bed, server)
         assert _wire(bed) == frames
         assert answers == [(i, f"M{i}") for i in range(20)]
         assert bed.scheduler.events_processed < off_events
         assert _coalesced(bed) > 0
+
+
+def test_trains_of_one_open_no_train_scope():
+    """On the echo workloads no delivery carries more than one NTCS
+    frame to an LVC, so every frame is a train of one: no ND train
+    walk, no LCM train drain.  A collapse that wrapped single frames
+    in ``train_begin``/``train_end`` would count drains here."""
+    for make_bed, server in ((single_net, "sun1"), (two_nets, "apollo1")):
+        bed, _ = _echo_workload(make_bed, server)
+        assert _coalesced(bed) > 0
+        assert _counter_total(bed, "nd_train_frames") == 0
+        assert _counter_total(bed, "lcm_train_drains") == 0
 
 
 def test_train_counters_account_the_batches():
@@ -111,7 +133,7 @@ def test_train_counters_account_the_batches():
     frames at the receiving stack, gateway train splices, and one LCM
     drain per train walk — while messages arrive complete and in
     order."""
-    bed = two_nets(config=NucleusConfig(train_enabled=True))
+    bed = two_nets(config=NucleusConfig())
     received = []
     sink = bed.module("ring.sink", "apollo1")
     sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
@@ -125,16 +147,17 @@ def test_train_counters_account_the_batches():
     assert snap.get("nd_train_frames", 0) > 0
     assert snap.get("lcm_train_drains", 0) >= 1
     gateway = bed.gateways["gw1"]
-    assert gateway.train_splices >= 1
+    assert sum(stack.counters["gw_train_splices"]
+               for stack in gateway.stacks.values()) >= 1
     assert _coalesced(bed) > 0
 
 
 # ---------------------------------------------------------------------------
-# Property: delivery order is mode-invariant under coalescing windows,
-# deterministic chaos, and flow-control stalls
+# Property: delivery order does not depend on the train length, under
+# coalescing windows, deterministic chaos, and flow-control stalls
 # ---------------------------------------------------------------------------
 
-def _burst_observables(train_enabled, train_max, flow_window, crash_at_ms,
+def _burst_observables(train_max, flow_window, crash_at_ms,
                        down_ms, drop_count, messages=18):
     """Everything an application can observe from a flood across the
     gateway: the delivered values in delivery order, plus every send
@@ -142,8 +165,7 @@ def _burst_observables(train_enabled, train_max, flow_window, crash_at_ms,
     schedule and ``drop_count`` frames are unconditionally dropped —
     both deterministic in event order, hence mode-comparable."""
     bed = two_nets(config=NucleusConfig(
-        train_enabled=train_enabled, train_max=train_max,
-        flow_control_enabled=True, flow_window=flow_window,
+        train_max=train_max, flow_control_enabled=True, flow_window=flow_window,
         repair_max_attempts=8))
     sink = bed.module("ring.sink", "apollo1")
     src = bed.module("src", "vax1")
@@ -190,9 +212,9 @@ def _burst_observables(train_enabled, train_max, flow_window, crash_at_ms,
 )
 def test_train_delivery_order_equals_per_frame_order(
         train_max, flow_window, crash_at_ms, down_ms, drop_count):
-    on = _burst_observables(True, train_max, flow_window,
+    on = _burst_observables(train_max, flow_window,
                             crash_at_ms, down_ms, drop_count)
-    off = _burst_observables(False, train_max, flow_window,
+    off = _burst_observables(1, flow_window,
                              crash_at_ms, down_ms, drop_count)
     assert on == off
 
