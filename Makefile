@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint verify test bench bench-smoke bench-scale bench-flow \
-    bench-dispatch bench-naming bench-e2e chaos all
+    bench-dispatch bench-naming bench-e2e bench-ab chaos all
 
 all: lint test
 
@@ -113,3 +113,19 @@ bench-e2e:
 	        'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' \
 	    || { cat .perfbench/$$w.smoke.txt; exit 1; }; \
 	done
+
+# A/B run of the end-to-end benchmark (benchmarks/ab.py): revision BASE,
+# checked out in a temporary git worktree, against this working tree —
+# PAIRS pairs of SECONDS-long runs of WORKLOAD at SEED, alternating
+# which side runs first.  Prints each metric's median and quartiles per
+# side, the pairs the change won and whether the gain rule holds.  Takes
+# 2 x PAIRS x SECONDS plus set-up, so no CI job runs it.
+BASE ?= HEAD
+WORKLOAD ?= echo_chain3
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 1
+
+bench-ab:
+	$(PYTHON) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)

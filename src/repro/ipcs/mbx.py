@@ -29,6 +29,10 @@ _PUT = "MBX_PUT"
 _PUT_ACK = "MBX_PUT_ACK"
 _CLOSE = "MBX_CLOSE"
 
+# Bandwidth-model size of a record's fixed header share; a PUT adds
+# its data bytes.
+_HEADER_SIZE = 64
+
 
 class _MbxConn:
     __slots__ = ("local_id", "remote_id", "remote_host", "channel", "state",
@@ -134,12 +138,11 @@ class SimMbxIpcs(Ipcs):
         seq = conn.next_seq
         conn.next_seq += 1
         self.records_sent += 1
-        self._transmit(conn.remote_host, (_PUT, conn.remote_id, seq, data))
+        self._transmit(conn.remote_host, (_PUT, conn.remote_id, seq, data),
+                       _HEADER_SIZE + len(data))
         timer = self.scheduler.schedule(
-            self.ack_timeout,
-            lambda: self._ack_timeout(conn, seq),
-            note=f"mbx ack timeout seq={seq}",
-        )
+            self.ack_timeout, lambda: self._ack_timeout(conn, seq),
+            "mbx ack timeout")
         conn.pending_acks[seq] = timer
 
     def _ack_timeout(self, conn: _MbxConn, seq: int) -> None:
@@ -176,10 +179,11 @@ class SimMbxIpcs(Ipcs):
 
     # -- wire ----------------------------------------------------------------
 
-    def _transmit(self, dst_host: str, payload: tuple) -> None:
-        size = 64 + sum(len(part) for part in payload
-                        if isinstance(part, (bytes, bytearray)))
-        self.iface.send(dst_host, self.protocol, payload, size=size)
+    def _transmit(self, dst_host: str, payload: tuple,
+                  size: int = _HEADER_SIZE) -> None:
+        # ``size`` feeds the bandwidth model: the fixed header share,
+        # plus the data bytes of a PUT record (its caller adds them).
+        self.iface.send(dst_host, self.protocol, payload, size)
 
     def _on_datagram(self, datagrams) -> None:
         """A frame train (PROTOCOL.md §13): runs of PUT records for one
@@ -195,14 +199,14 @@ class SimMbxIpcs(Ipcs):
             kind = payload[0]
             if kind != _PUT:
                 i += 1
-                if kind == _OPEN:
+                if kind == _PUT_ACK:  # the common control record first
+                    self._handle_put_ack(datagram)
+                elif kind == _OPEN:
                     self._handle_open(datagram)
                 elif kind == _OPEN_ACK:
                     self._handle_open_ack(datagram)
                 elif kind == _NAK:
                     self._handle_nak(datagram)
-                elif kind == _PUT_ACK:
-                    self._handle_put_ack(datagram)
                 elif kind == _CLOSE:
                     self._handle_close(datagram)
                 continue
@@ -214,10 +218,12 @@ class SimMbxIpcs(Ipcs):
             conn = self._conns.get(local_id)
             if conn is not None and conn.state == "ESTABLISHED":
                 records = []
+                transmit = self._transmit
+                remote_host = conn.remote_host
+                remote_id = conn.remote_id
                 for k in range(i, j):
                     _, _, seq, data = datagrams[k].payload
-                    self._transmit(conn.remote_host,
-                                   (_PUT_ACK, conn.remote_id, seq))
+                    transmit(remote_host, (_PUT_ACK, remote_id, seq))
                     records.append(data)
                 conn.channel._deliver(records)
             i = j

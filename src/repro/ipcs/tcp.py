@@ -29,6 +29,10 @@ _DATA = "DATA"
 _ACK = "ACK"
 _CLOSE = "CLOSE"
 
+# Bandwidth-model size of a segment's fixed header share; a DATA
+# segment adds its data bytes.
+_HEADER_SIZE = 64
+
 
 class _TcpConn:
     """Book-keeping for one end of a TCP connection."""
@@ -169,12 +173,10 @@ class SimTcpIpcs(Ipcs):
 
     def _send_segment(self, conn: _TcpConn, seq: int, data: bytes, tries: int) -> None:
         self.segments_sent += 1
-        self._transmit(conn.remote_host, (_DATA, conn.remote_id, seq, data))
+        self._transmit(conn.remote_host, (_DATA, conn.remote_id, seq, data),
+                       _HEADER_SIZE + len(data))
         timer = self.scheduler.schedule(
-            self.rto,
-            lambda: self._segment_timeout(conn, seq),
-            note=f"tcp rto seq={seq}",
-        )
+            self.rto, lambda: self._segment_timeout(conn, seq), "tcp rto")
         conn.unacked[seq] = (timer, tries, data)
 
     def _segment_timeout(self, conn: _TcpConn, seq: int) -> None:
@@ -228,12 +230,11 @@ class SimTcpIpcs(Ipcs):
 
     # -- wire ------------------------------------------------------------------
 
-    def _transmit(self, dst_host: str, payload: tuple) -> None:
-        # Frame size for the bandwidth model: a fixed header share plus
-        # any data bytes riding in the segment.
-        size = 64 + sum(len(part) for part in payload
-                        if isinstance(part, (bytes, bytearray)))
-        self.iface.send(dst_host, self.protocol, payload, size=size)
+    def _transmit(self, dst_host: str, payload: tuple,
+                  size: int = _HEADER_SIZE) -> None:
+        # ``size`` feeds the bandwidth model: the fixed header share,
+        # plus the data bytes of a DATA segment (its caller adds them).
+        self.iface.send(dst_host, self.protocol, payload, size)
 
     def _on_datagram(self, datagrams) -> None:
         """A frame train (PROTOCOL.md §13): runs of DATA segments for
@@ -250,14 +251,14 @@ class SimTcpIpcs(Ipcs):
             kind = payload[0]
             if kind != _DATA:
                 i += 1
-                if kind == _SYN:
+                if kind == _ACK:  # the common control segment first
+                    self._handle_ack(datagram)
+                elif kind == _SYN:
                     self._handle_syn(datagram)
                 elif kind == _SYNACK:
                     self._handle_synack(datagram)
                 elif kind == _RST:
                     self._handle_rst(datagram)
-                elif kind == _ACK:
-                    self._handle_ack(datagram)
                 elif kind == _CLOSE:
                     self._handle_close(datagram)
                 continue
@@ -269,10 +270,12 @@ class SimTcpIpcs(Ipcs):
             conn = self._conns.get(local_id)
             if conn is not None and conn.state == "ESTABLISHED":
                 out_of_order = conn.out_of_order
+                transmit = self._transmit
+                remote_host = conn.remote_host
+                remote_id = conn.remote_id
                 for k in range(i, j):
                     _, _, seq, data = datagrams[k].payload
-                    self._transmit(conn.remote_host,
-                                   (_ACK, conn.remote_id, seq))
+                    transmit(remote_host, (_ACK, remote_id, seq))
                     if seq >= conn.next_recv_seq:  # else a duplicate
                         out_of_order[seq] = data
                 while conn.next_recv_seq in out_of_order:

@@ -84,8 +84,11 @@ class FaultPlan:
         return False
 
     def should_drop(self, src_host: str, dst_host: str) -> bool:
-        """Decide the fate of one datagram; counts drops."""
-        if self.blocks(src_host, dst_host):
+        """Decide the fate of one datagram; counts drops.  Called for
+        every frame on the wire, so the common fault-free case reads a
+        few attributes and draws nothing from the RNG."""
+        if ((self._severed or self._partition is not None)
+                and self.blocks(src_host, dst_host)):
             self.dropped += 1
             return True
         if self._drop_next > 0:

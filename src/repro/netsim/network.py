@@ -82,16 +82,10 @@ class Interface:
         header-only (a small control frame)."""
         if not self.up:
             return  # a downed interface silently loses frames
-        self.network.transmit(
-            Datagram(
-                network=self.network.name,
-                src_host=self.host,
-                dst_host=dst_host,
-                protocol=protocol,
-                payload=payload,
-            ),
-            size=size,
-        )
+        network = self.network
+        network.transmit(
+            Datagram(network.name, self.host, dst_host, protocol, payload),
+            size)
 
     def deliver(self, datagrams: List[Datagram]) -> None:
         """Called by the network when a frame train arrives — every
@@ -190,11 +184,13 @@ class Network:
     def transmit(self, datagram: Datagram, size: Optional[int] = None) -> None:
         """Schedule delivery of one frame after latency (plus the
         serialization delay when a bandwidth is configured)."""
-        if datagram.dst_host not in self._interfaces:
+        dst = self._interfaces.get(datagram.dst_host)
+        if dst is None:
             raise NetworkUnreachable(
                 f"no host {datagram.dst_host!r} on network {self.name!r}"
             )
-        size = size if size is not None else self.DEFAULT_FRAME_SIZE
+        if size is None:
+            size = self.DEFAULT_FRAME_SIZE
         self.frames_sent += 1
         self.bytes_sent += size
         dropped = self.faults.should_drop(datagram.src_host, datagram.dst_host)
@@ -202,7 +198,6 @@ class Network:
             self.trace_hook(datagram, size, dropped)
         if dropped:
             return
-        dst = self._interfaces[datagram.dst_host]
         delay = self.latency
         if self.bandwidth:
             delay += size / self.bandwidth
@@ -239,8 +234,4 @@ class Network:
         # Fire-and-forget: a train in flight is never cancelled, so the
         # pooled no-handle flavour keeps the cost to one recycled event
         # object (PROTOCOL.md §11).
-        self.scheduler.post(
-            delay,
-            deliver,
-            note=f"{self.name}:{datagram.src_host}->{datagram.dst_host}",
-        )
+        self.scheduler.post(delay, deliver, "netsim deliver")

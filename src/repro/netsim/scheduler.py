@@ -32,6 +32,7 @@ comparisons or O(n) scans.  Three scheduling flavours exist:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError, VirtualTimeout
@@ -145,15 +146,6 @@ class Scheduler:
 
     # -- execution --------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or None if queue empty."""
-        return self._wheel.pop()
-
-    def _peek_time(self) -> Optional[float]:
-        """Time of the earliest non-cancelled event, or None."""
-        event = self._wheel.peek()
-        return None if event is None else event.time
-
     def _run(self, event: Event) -> None:
         if event.time < self._now:
             raise SimulationError(
@@ -199,10 +191,10 @@ class Scheduler:
         deadline = self._now + duration
         ran = 0
         while True:
-            head_time = self._peek_time()
-            if head_time is None or head_time > deadline:
+            event = self._wheel.pop(deadline)
+            if event is None:
                 break
-            self._run(self._wheel.pop())
+            self._run(event)
             ran += 1
         self._now = max(self._now, deadline)
         return ran
@@ -232,24 +224,29 @@ class Scheduler:
         deadline = None if timeout is None else self._now + timeout
         self._pump_depth += 1
         self.max_pump_depth_seen = max(self.max_pump_depth_seen, self._pump_depth)
+        wheel = self._wheel
+        due_by = math.inf if deadline is None else deadline
+        run = self._run
         try:
             while True:
                 if predicate():
                     return True
-                head_time = self._peek_time()
-                if head_time is None:
-                    if deadline is not None:
-                        self._now = max(self._now, deadline)
-                        return False
-                    raise DeadlockError(
-                        f"pump_until({what or 'predicate'}): event queue empty "
-                        "and predicate false — nothing can unblock this call"
-                    )
-                if deadline is not None and head_time > deadline:
-                    # Leave it in place: it belongs to whoever pumps next.
+                event = wheel.pop(due_by)
+                if event is not None:
+                    run(event)
+                    continue
+                if wheel.live:
+                    # The head lies past the deadline.  Leave it in
+                    # place: it belongs to whoever pumps next.
                     self._now = deadline
                     return False
-                self._run(self._wheel.pop())
+                if deadline is not None:
+                    self._now = max(self._now, deadline)
+                    return False
+                raise DeadlockError(
+                    f"pump_until({what or 'predicate'}): event queue empty "
+                    "and predicate false — nothing can unblock this call"
+                )
         finally:
             self._pump_depth -= 1
 

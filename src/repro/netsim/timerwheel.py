@@ -52,6 +52,7 @@ determinism contract and the cancellation accounting.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Callable, Deque, List, Optional, Tuple
@@ -288,8 +289,12 @@ class TimerWheel:
             return timer[2]
         return qhead[2]._fifo[0]
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None."""
+    def pop(self, deadline: float = math.inf) -> Optional[Event]:
+        """Remove and return the earliest live event if its time is at
+        or before ``deadline``; otherwise (nothing held, or the head is
+        later) return None and leave the wheel untouched.  One walk of
+        the head serves both the due test and the removal — the pump's
+        per-event operation."""
         ready = self._ready
         if ready:
             entry = ready[0]
@@ -297,21 +302,27 @@ class TimerWheel:
             if not event.cancelled:
                 qheads = self._qheads
                 if not qheads or entry < qheads[0]:
+                    if entry[0] > deadline:
+                        return None
                     heappop(ready)
                     self._live -= 1
                     event._wheel = None
                     return event
-        return self._pop_slow()
+        return self._pop_slow(deadline)
 
-    def _pop_slow(self) -> Optional[Event]:
+    def _pop_slow(self, deadline: float) -> Optional[Event]:
         timer = self._timer_head()
         qhead = self._qheads[0] if self._qheads else None
         if timer is None and qhead is None:
             return None
         if qhead is None or (timer is not None and timer < qhead):
+            if timer[0] > deadline:
+                return None
             heappop(self._ready)
             event = timer[2]
         else:
+            if qhead[0] > deadline:
+                return None
             heappop(self._qheads)
             queue = qhead[2]
             event = queue._fifo.popleft()

@@ -31,28 +31,35 @@ class FramedChannel(MessageChannel):
         self.channel.send(shift_encode_u32s([len(data)]) + data)
 
     def _on_bytes(self, chunks) -> None:
-        # Extend the buffer with every chunk of the delivery first, then
-        # extract all complete messages in one pass and hand them up as
-        # one train (PROTOCOL.md §13).
+        # Extract every complete message of the delivery in one pass and
+        # hand them up as one train (PROTOCOL.md §13).  The usual
+        # delivery — one chunk of whole messages, nothing buffered — is
+        # parsed in place; anything else goes through the buffer.
         buffer = self._buffer
-        for chunk in chunks:
-            buffer.extend(chunk)
-        self._emit(self._extract_all())
-
-    def _extract_all(self) -> list:
-        """Pop every complete length-prefixed message off the buffer."""
+        if buffer or len(chunks) != 1:
+            for chunk in chunks:
+                buffer.extend(chunk)
+            data = buffer
+        else:
+            data = chunks[0]
         messages = []
-        buffer = self._buffer
-        while True:
-            if len(buffer) < _LEN_BYTES:
-                return messages
-            (length,) = shift_decode_u32s(buffer, 1)
-            if length > _MAX_MESSAGE:
-                raise ProtocolError(f"insane frame length {length}")
-            if len(buffer) < _LEN_BYTES + length:
-                return messages
-            messages.append(bytes(buffer[_LEN_BYTES:_LEN_BYTES + length]))
-            del buffer[:_LEN_BYTES + length]
+        end = len(data)
+        start = length = 0
+        while end - start >= _LEN_BYTES:
+            (length,) = shift_decode_u32s(data, 1, start)
+            stop = start + _LEN_BYTES + length
+            if length > _MAX_MESSAGE or stop > end:
+                break
+            messages.append(bytes(data[start + _LEN_BYTES:stop]))
+            start = stop
+        # Keep only the incomplete tail.
+        if data is buffer:
+            del buffer[:start]
+        elif start < end:
+            buffer.extend(data[start:])
+        if length > _MAX_MESSAGE:
+            raise ProtocolError(f"insane frame length {length}")
+        self._emit(messages)
 
 
 class SimTcpDriver(StdIfDriver):

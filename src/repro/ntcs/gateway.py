@@ -390,8 +390,12 @@ class Gateway:
         budget = taken
         if taken > self.TRAIN_ROTATE_BUDGET and self.splice_count() > 1:
             budget = self.TRAIN_ROTATE_BUDGET
-        self._forward_batch(in_lvc, out_nucleus, out_lvc,
-                            headers[:budget], frames[:budget])
+        if budget == len(frames):
+            # The usual case, a train of one included: the whole train.
+            self._forward_batch(in_lvc, out_nucleus, out_lvc, headers, frames)
+        else:
+            self._forward_batch(in_lvc, out_nucleus, out_lvc,
+                                headers[:budget], frames[:budget])
         if taken > 1:
             out_nucleus.counters.incr(GW_TRAIN_SPLICES)
         if budget < taken:
@@ -410,9 +414,9 @@ class Gateway:
         one train with batched counter updates."""
         outs: List[bytes] = []
         for header, raw in zip(headers, frames):
-            raw, forward = self._enforce_credit(
+            raw = self._enforce_credit(
                 in_lvc, out_nucleus, out_lvc, header, raw)
-            if forward:
+            if raw is not None:
                 outs.append(raw)
         if not outs:
             return
@@ -433,7 +437,7 @@ class Gateway:
         out_nucleus.counters.incr(GATEWAY_TRAIN_ROTATIONS)
         out_nucleus.scheduler.post(
             0.0, lambda: self._flush_backlog(in_lvc),
-            note=f"{self.name} train rotation")
+            note="gateway train rotation")
 
     def _flush_backlog(self, in_lvc: Lvc, fully: bool = False) -> None:
         """Forward (part of) a rotated train's queued remainder; posts
@@ -465,7 +469,7 @@ class Gateway:
 
     def _enforce_credit(self, in_lvc: Lvc, out_nucleus: Nucleus,
                         out_lvc: Lvc, header: m.HeaderView,
-                        raw: bytes) -> Tuple[bytes, bool]:
+                        raw: bytes) -> Optional[bytes]:
         """Credit bookkeeping on the zero-copy path (PROTOCOL.md §12).
 
         The gateway is not a flow endpoint — it keeps no queue of its
@@ -477,19 +481,20 @@ class Gateway:
         anything ever sent is patched down in place — aux and checksum
         words only, no Msg materialized — so forged credit cannot mint
         window the sender never earned.  Returns the (possibly
-        patched) frame and whether to forward it."""
+        patched) frame to forward, or None to drop it."""
         if not self.config.flow_control_enabled:
-            return raw, True
+            return raw
         state = self._splice_credit.get(in_lvc)
         if state is None:
             state = self._splice_credit[in_lvc] = _SpliceCredit()
-        if header.kind == m.CREDIT_PROBE:
+        kind = header.kind
+        if kind == m.CREDIT_PROBE:
             sent = header.credit
             if sent is not None and sent > state.sent_seen:
                 state.sent_seen = sent
-            return raw, True
+            return raw
         advertised = header.credit
-        if advertised is not None and header.kind in (m.DATA, m.CREDIT_GRANT):
+        if advertised is not None and kind in (m.DATA, m.CREDIT_GRANT):
             # An advertisement arriving on this leg covers traffic of
             # the opposite direction: frames that arrived on out_lvc.
             peer = self._splice_credit.get(out_lvc)
@@ -503,15 +508,15 @@ class Gateway:
                 advertised = bound
             if advertised > peer.consumed_seen:
                 peer.consumed_seen = advertised
-        if (header.kind == m.DATA and not header.flags & m.FLAG_INTERNAL
-                and not header.flags & m.FLAG_IS_REPLY):
+        if (kind == m.DATA
+                and not header.flags & (m.FLAG_INTERNAL | m.FLAG_IS_REPLY)):
             if (state.debits - state.consumed_seen
                     >= 2 * self.config.flow_window):
                 self.credit_overruns_dropped += 1
                 out_nucleus.counters.incr(GATEWAY_CREDIT_DROPS)
-                return raw, False
+                return None
             state.debits += 1
-        return raw, True
+        return raw
 
     def _forward(self, in_lvc: Lvc, splice: Tuple[Nucleus, Lvc], msg: m.Msg) -> None:
         out_nucleus, out_lvc = splice

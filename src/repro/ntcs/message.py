@@ -276,7 +276,7 @@ def patch_frame_aux(frame: Union[bytes, memoryview], aux: int) -> bytes:
     return bytes(patched)
 
 
-@dataclass
+@dataclass(init=False)
 class Msg:
     """One NTCS message: a parsed header plus its body bytes."""
 
@@ -290,11 +290,25 @@ class Msg:
     body: bytes = b""
     # Cached wire frame: populated by decode()/encode(), dropped on any
     # wire-field mutation (see __setattr__).  repr=False keeps dumps
-    # readable; compare=False keeps Msg equality semantic, not cached.
-    _frame: Optional[bytes] = field(default=None, repr=False, compare=False)
+    # readable; compare=False keeps Msg equality semantic, not cached;
+    # init=False keeps dataclasses.replace from copying a frame that
+    # no longer matches the replaced fields.
+    _frame: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False)
     # False until the header checksum has been checked (decode verifies
     # eagerly unless told to defer; locally built messages are trusted).
-    _checksum_deferred: bool = field(default=False, repr=False, compare=False)
+    _checksum_deferred: bool = field(
+        default=False, init=False, repr=False, compare=False)
+
+    def __init__(self, kind: int, src: Address, dst: Address,
+                 flags: int = 0, type_id: int = 0, corr_id: int = 0,
+                 aux: int = 0, body: bytes = b""):
+        # A new message has no cached frame to invalidate, so its
+        # fields are stored directly rather than through __setattr__.
+        self.__dict__.update(
+            kind=kind, src=src, dst=dst, flags=flags, type_id=type_id,
+            corr_id=corr_id, aux=aux, body=body,
+            _frame=None, _checksum_deferred=False)
 
     def __setattr__(self, name: str, value) -> None:
         if name in _WIRE_FIELDS and "_frame" in self.__dict__:

@@ -332,13 +332,15 @@ class NdLayer:
         train is walked inside one scope.  Every pending item sits on
         the LVC's shared deque and is popped *before* its upcall, so a
         handler that blocks mid-walk — and receives more frames on this
-        LVC re-entrantly — drains the same deque.  Batch work happens
+        LVC re-entrantly — drains the same deque; a train of one that
+        arrives while the deque holds such frames joins it too, so it
+        cannot overtake them.  Batch work happens
         on contiguous runs: a spliced LVC's gateway tap forwards its
         maximal prefix in one call, and a terminating run of raw
         frames is header-decoded with one struct call, the decoded
         messages taking their frames' places at the front of the deque.
         """
-        if len(raws) == 1:
+        if len(raws) == 1 and not lvc.rx_train:
             tap = lvc.frame_tap
             if tap is not None and tap(raws):
                 # Spliced pass-through: the Gateway forwarded the raw

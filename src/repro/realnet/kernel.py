@@ -97,10 +97,9 @@ class RealtimeKernel:
         ran = 0
         now = self.now
         while True:
-            timer = self._wheel.peek()
-            if timer is None or timer.time > now:
+            timer = self._wheel.pop(now)
+            if timer is None:
                 break
-            self._wheel.pop()
             self.events_processed += 1
             timer.callback()
             ran += 1

@@ -2,7 +2,11 @@
 exactly reproducible — same build steps, same virtual timeline, same
 traces, same counters."""
 
-from deployments import echo_server, register_app_types, single_net, two_nets
+import hashlib
+import json
+
+from deployments import (chain_nets, echo_server, register_app_types,
+                         single_net, two_nets)
 from repro import SUN3, Testbed, VAX
 from repro.ntcs.nucleus import NucleusConfig
 
@@ -179,3 +183,56 @@ def test_single_shard_ablation_matches_replicated_service():
     assert len(replicated[1]) > 0               # the trace saw naming
     assert sharded[1] == replicated[1]          # frames, byte-identical
     assert sharded[2] == replicated[2]          # virtual timeline
+
+
+# ---------------------------------------------------------------------------
+# Work per operation, pinned: the simulated substrate's hot path may get
+# cheaper, but it must do exactly the same work — same events, same
+# frames, same bytes, same wire trace.
+# ---------------------------------------------------------------------------
+
+def _work(bed, log):
+    """Scheduler events, (frames, bytes) per network, and the SHA-256
+    of the whole wire trace."""
+    digest = hashlib.sha256()
+    for event in log.events:
+        digest.update(json.dumps(event, sort_keys=True).encode() + b"\n")
+    return (bed.scheduler.events_processed,
+            {name: (net.frames_sent, net.bytes_sent)
+             for name, net in bed.networks.items()},
+            digest.hexdigest())
+
+
+def test_work_pinned_echo_over_three_gateways():
+    bed = chain_nets(3)
+    log = bed.record_wire_trace()
+    echo_server(bed, "dest", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("dest")
+    for i in range(20):
+        reply = client.ali.call(uadd, "echo", {"n": i, "text": f"m{i}"})
+        assert reply.values["text"] == f"M{i}"
+    bed.settle()
+    assert _work(bed, log) == (
+        867,
+        {"net0": (222, 25204), "net1": (186, 20820),
+         "net2": (150, 16316), "net3": (118, 12422)},
+        "6aae9d1cb70a978040cb19ad7d5083b2f397f1bbe7ae2f3c9c670121ab9837ad")
+
+
+def test_work_pinned_burst_through_the_mbx_ring():
+    bed = two_nets()
+    log = bed.record_wire_trace()
+    received = []
+    sink = bed.module("ring.sink", "apollo1")
+    sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
+    src = bed.module("src", "vax1")
+    uadd = src.ali.locate("ring.sink")
+    for i in range(200):
+        src.ali.send(uadd, "numbers", {"a": i, "b": -i, "big": i << 40})
+    bed.settle()
+    assert received == list(range(200))
+    assert _work(bed, log) == (
+        135,
+        {"ether0": (470, 47944), "ring0": (438, 43637)},
+        "9bf9548fd0ea4eb240329a7bcb48a6bcefff30c5e80d5ce74ca229faa92d83ff")

@@ -90,3 +90,36 @@ def test_probabilistic_drops_are_seed_deterministic():
         outcomes.append([plan.should_drop("a", "b") for _ in range(32)])
     assert outcomes[0] == outcomes[1]
     assert any(outcomes[0]) and not all(outcomes[0])
+
+
+def test_fault_free_frames_draw_nothing_from_the_rng():
+    # Every frame on the wire consults the plan, so its fault-free case
+    # must leave the RNG alone: a plan that saw 1,000 clean frames and
+    # then arms probabilistic loss decides exactly like a fresh plan.
+    used = FaultPlan(seed=7)
+    assert not any(used.should_drop("a", "b") for _ in range(1000))
+    assert used.dropped == 0
+    fresh = FaultPlan(seed=7)
+    for plan in (used, fresh):
+        plan.drop_probability = 0.3
+    assert ([used.should_drop("a", "b") for _ in range(200)]
+            == [fresh.should_drop("a", "b") for _ in range(200)])
+    assert used.dropped == fresh.dropped > 0
+
+
+def test_faults_set_mid_run_apply_to_the_very_next_frame():
+    plan = FaultPlan()
+    for _ in range(10):
+        assert not plan.should_drop("a", "b")
+    plan.sever("a", "b")
+    assert plan.should_drop("b", "a")
+    plan.heal("a", "b")
+    assert not plan.should_drop("a", "b")
+    plan.partition({"a"}, {"b"})
+    assert plan.should_drop("a", "b")
+    plan.heal_partition()
+    assert not plan.should_drop("a", "b")
+    plan.drop_next(1)
+    assert plan.should_drop("a", "b")
+    assert not plan.should_drop("a", "b")
+    assert plan.dropped == 3

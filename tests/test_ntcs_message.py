@@ -1,5 +1,7 @@
 """Unit tests for NTCS message headers (shift mode, Sec. 5.2)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +88,64 @@ def test_decode_rejects_truncated_body():
     wire = _msg(body=b"0123456789").encode()
     with pytest.raises(ProtocolError, match="length mismatch"):
         m.Msg.decode(wire[:-3])
+
+
+_MUTATIONS = {
+    "kind": m.CREDIT_GRANT,
+    "src": make_uadd(4),
+    "dst": make_uadd(10),
+    "flags": m.FLAG_PACKED | m.FLAG_IS_REPLY,
+    "type_id": 101,
+    "corr_id": 8,
+    "aux": 3,
+    "body": b"changed",
+}
+
+
+def test_frame_cache_covers_every_wire_field():
+    assert set(_MUTATIONS) == set(m._WIRE_FIELDS)
+
+
+@pytest.mark.parametrize("field", sorted(_MUTATIONS))
+@pytest.mark.parametrize("origin", ["encoded", "decoded"])
+def test_mutation_drops_the_cached_frame(field, origin):
+    msg = _msg()
+    if origin == "decoded":
+        msg = m.Msg.decode(msg.encode())
+    else:
+        msg.encode()
+    assert msg._frame is not None
+    setattr(msg, field, _MUTATIONS[field])
+    assert msg._frame is None
+    assert getattr(m.Msg.decode(msg.encode()), field) == _MUTATIONS[field]
+
+
+def test_fresh_messages_hold_no_frame():
+    msg = _msg()
+    assert msg._frame is None and not msg.checksum_pending
+    assert m.Msg(m.DATA, make_uadd(1), make_uadd(2))._frame is None
+    assert dataclasses.replace(msg, corr_id=99)._frame is None
+    # Decoding passes the frame in.
+    wire = _msg().encode()
+    assert m.Msg.decode(wire)._frame == wire
+
+
+def test_replaced_copy_encodes_its_own_fields():
+    # A replaced copy is freshly built: it must encode its own fields,
+    # never the frame its source had cached.
+    for source in (_msg(), m.Msg.decode(_msg().encode(), verify=False)):
+        source.encode()
+        copy = dataclasses.replace(source, corr_id=99)
+        assert copy._frame is None and not copy.checksum_pending
+        assert m.Msg.decode(copy.encode()).corr_id == 99
+
+
+def test_equality_ignores_the_cached_frame():
+    encoded = _msg()
+    encoded.encode()
+    assert encoded == _msg()
+    assert m.Msg.decode(encoded.encode()) == _msg()
+    assert _msg(corr_id=1) != _msg(corr_id=2)
 
 
 def test_kind_names():

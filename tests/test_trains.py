@@ -152,6 +152,33 @@ def test_train_counters_account_the_batches():
     assert _coalesced(bed) > 0
 
 
+def test_train_of_one_keeps_arrival_order_behind_a_blocked_walk():
+    """A handler blocks on the first message of a three-frame train,
+    and while it is blocked a fourth message reaches the same LVC,
+    re-entrantly, as a train of one.  It must wait behind the two
+    frames still pending from the walk, not overtake them."""
+    bed = single_net(config=NucleusConfig())
+    sink = bed.module("sink", "sun1")
+    order = []
+
+    def handle(msg):
+        order.append(msg.values["a"])
+        if msg.values["a"] == 0:
+            bed.scheduler.wait(0.05)
+
+    sink.ali.set_request_handler(handle)
+    src = bed.module("src", "vax1")
+    uadd = src.ali.locate("sink")
+    for i in range(3):
+        src.ali.send(uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.scheduler.schedule(0.01, lambda: src.ali.send(
+        uadd, "numbers", {"a": 3, "b": 0, "big": 0}))
+    bed.settle()
+    # The first three arrived as one train; the fourth alone.
+    assert sink.nucleus.counters["nd_train_frames"] == 3
+    assert order == [0, 1, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # Property: delivery order does not depend on the train length, under
 # coalescing windows, deterministic chaos, and flow-control stalls
