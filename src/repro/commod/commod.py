@@ -43,7 +43,7 @@ class ComMod:
         # registration can publish its blob.
         self.nucleus.nd.create_resource()
         # The NSP-Layer isolates the naming-service implementation: a
-        # different factory (e.g. the replicated service) swaps it with
+        # different factory (e.g. the sharded service) swaps it with
         # "no direct impact on the NTCS" (Sec. 2.4).
         if nsp_factory is not None:
             self.nsp = nsp_factory(self.nucleus)

@@ -15,11 +15,10 @@ the application modules above."
   for all layers within the ComMod",
 * :mod:`attributes` — the attribute-value naming scheme the paper's
   Sec. 7 says was being adopted,
-* :mod:`replicated` — the replicated name service Sec. 7 plans for
-  failure resiliency,
-* :mod:`shards` — the name database "partially distributed across two
-  or more such modules" (Sec. 7): consistent-hash sharding over
-  replica groups, with generation-stamped anti-entropy.
+* :mod:`shards` — the name service Sec. 7 plans for: "replicated for
+  failure resiliency" and "partially distributed across two or more
+  such modules" — consistent-hash sharding over replica groups, with
+  generation-stamped anti-entropy; a replica set is a shard of one.
 """
 
 from repro.naming.protocol import NameRecord, register_naming_types

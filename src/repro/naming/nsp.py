@@ -7,7 +7,7 @@ naming service implementation."
 Everything here is a thin client over ordinary Nucleus communication —
 "the NSP-layers talk across multiple networks in the identical manner
 as application modules do" (Sec. 3.1).  Swapping the implementation
-(single server → replicated) only changes which class the ComMod
+(single server → sharded replicas) only changes which class the ComMod
 constructs; callers see the same methods.
 
 The control-plane fast path (PROTOCOL.md §9) lives here:

@@ -236,7 +236,7 @@ class NameServer:
             "count": len(matches), "records": p.encode_records(matches),
         }
 
-    # -- replication hook (filled by repro.naming.replicated) ----------------------
+    # -- replication hook (filled by repro.naming.shards) --------------------------
 
     def _replicate(self, op: str, record: NameRecord) -> None:
         pass

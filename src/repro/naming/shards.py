@@ -7,10 +7,25 @@ the Nucleus, and of isolating it with the NSP-Layer."
 
 The name↔UAdd database is partitioned across N *shards* by a
 deterministic consistent-hash ring over logical names; each shard is a
-replica group running the :mod:`repro.naming.replicated` last-write-
-wins protocol internally.  The service stays *recursive*: every shard
-server is an ordinary module on the Nucleus it serves, bootstrapped
-from well-known addresses exactly like the single Name Server.
+replica group.  A plain replicated naming service ("replicated for
+failure resiliency", Sec. 7) is the one-shard case:
+``deploy_sharded_naming(bed, [machines])``.  The service stays
+*recursive*: every shard server is an ordinary module on the Nucleus it
+serves, bootstrapped from well-known addresses exactly like the single
+Name Server.
+
+Inside a replica group:
+
+* each server's database generates UAdds with "a unique Name Server
+  identifier ... appended" (Sec. 3.2), so replicas never collide,
+* every origin write (register/deregister) is fanned out to the peer
+  replicas as an ``ns_repl_update`` datagram over the NTCS's own
+  connectionless protocol (last write wins; the paper predates
+  stronger replication and so do we),
+* the :class:`ShardedNspLayer` fails over between the replicas of the
+  owning shard, priming the module's address tables with every
+  server's well-known blob — the Sec. 3.4 bootstrap, extended to the
+  fleet.
 
 Routing:
 
@@ -47,8 +62,8 @@ from repro.errors import (
 )
 from repro.naming import protocol as p
 from repro.naming.protocol import NameRecord
-from repro.naming.replicated import ReplicatedNameServer
 from repro.naming.nsp import NspLayer
+from repro.naming.server import NameServer
 from repro.ntcs.address import Address, SERVER_ID_SHIFT, blob_network
 from repro.ntcs.lcm import IncomingMessage
 from repro.ntcs.message import FLAG_INTERNAL
@@ -123,19 +138,19 @@ class HashRing:
 
 # -- the shard server -------------------------------------------------------------
 
-class ShardedNameServer(ReplicatedNameServer):
+class ShardedNameServer(NameServer):
     """One replica of one naming shard.
 
-    Identical to a :class:`ReplicatedNameServer` inside its replica
-    group; on top of that it checks ownership of every name- and
-    UAdd-keyed request against the ring, answering misrouted requests
-    with ``ns_shard_redirect``, and serves/pulls the generation-stamped
-    anti-entropy protocol.
+    Fans every origin write out to its replica peers; checks ownership
+    of every name- and UAdd-keyed request against the ring, answering
+    misrouted requests with ``ns_shard_redirect``; and serves/pulls the
+    generation-stamped anti-entropy protocol.
     """
 
     def __init__(self, *args, shard_id: int = 0, **kwargs):
         super().__init__(*args, **kwargs)
         self.shard_id = shard_id
+        self.peer_uadds: List[Address] = []
         self.shard_directory: Dict[int, List[ShardEntry]] = {}
         self._ring: Optional[HashRing] = None
         self._minted: Dict[int, int] = {}
@@ -144,8 +159,13 @@ class ShardedNameServer(ReplicatedNameServer):
         # the database: a restarted replica starts at zero and replays
         # the peer's whole oplog (the merge is idempotent).
         self._applied_gen: Dict[Address, int] = {}
+        self._handlers["ns_repl_update"] = self._handle_repl_update
         self._handlers["ns_antientropy"] = self._handle_antientropy
         self._handlers["ns_shard_handoff"] = self._handle_handoff
+
+    def set_peers(self, peers: Sequence[Address]) -> None:
+        """Tell this server which in-shard replica UAdds to replicate to."""
+        self.peer_uadds = [u for u in peers if u != self.uadd]
 
     # -- shard map ------------------------------------------------------------
 
@@ -257,7 +277,19 @@ class ShardedNameServer(ReplicatedNameServer):
         # generation stamp before the best-effort fan-out, so a peer
         # that missed the datagram can pull it later.
         self.db.log_write(record)
-        super()._replicate(op, record)
+        for peer in self.peer_uadds:
+            self.nucleus.lcm.datagram(peer, "ns_repl_update", {
+                "op": op,
+                "record": p.encode_records([record]),
+            }, flags=FLAG_INTERNAL)
+
+    def _handle_repl_update(self, request: IncomingMessage):
+        op = request.values["op"]
+        for record in p.decode_records(request.values["record"]):
+            if op == "deregister":
+                record.alive = False
+            self.db.adopt(record)
+        return "ns_ack", {"ok": 1, "detail": ""}
 
     def _handle_antientropy(self, request: IncomingMessage):
         watermark = request.values["gen"]
@@ -367,9 +399,11 @@ class ShardedNspLayer(NspLayer):
             raise NtcsError("a sharded NSP needs at least one shard")
         anchor = min(shard_directory)
         super().__init__(nucleus, ns_uadd=shard_directory[anchor][0][0])
-        # Same reasoning as ReplicatedNspLayer: generation stamps from
-        # different replicas are not comparable, and coalescing would
-        # bypass the per-shard failover loop.
+        # The resolution cache and single-flight coalescing are
+        # disabled: generation stamps from different replicas are not
+        # comparable (each database counts its own writes), and
+        # coalescing through call_async would bypass the per-shard
+        # failover loop.
         self.cache = None
         self._coalesce = False
         self._directory = {
@@ -382,7 +416,6 @@ class ShardedNspLayer(NspLayer):
             for uadd, _, _ in entries
         }
         self._current: Dict[int, int] = {}
-        self.failovers = 0
         # Every replica of every shard is "the naming service" to the
         # Sec. 6.3 patch, and its well-known blob primes our tables
         # (the Sec. 3.4 bootstrap, extended to the whole fleet).
@@ -445,7 +478,6 @@ class ShardedNspLayer(NspLayer):
                     ReplyTimeout) as exc:
                 last_error = exc
                 if i + 1 < len(servers):
-                    self.failovers += 1
                     nucleus.counters.incr("ns_failovers")
                 continue
             self._current[shard] = index

@@ -14,7 +14,6 @@ reproduction models the paper's passive, recursive Nucleus (Sec. 6).
 from repro.netsim.scheduler import Scheduler, Event
 from repro.netsim.network import Network, Interface, Datagram
 from repro.netsim.faults import FaultPlan
-from repro.netsim.sniffer import Sniffer, SniffedFrame
 from repro.netsim.tracelog import NetTraceLog
 from repro.netsim.chaos import ChaosEngine, ChaosEvent, ChaosSchedule, random_schedule
 
@@ -25,8 +24,6 @@ __all__ = [
     "Interface",
     "Datagram",
     "FaultPlan",
-    "Sniffer",
-    "SniffedFrame",
     "NetTraceLog",
     "ChaosEngine",
     "ChaosEvent",

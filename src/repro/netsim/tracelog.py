@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, List, Union
 
+from repro.errors import SimulationError
 from repro.netsim.network import Datagram, Network
 
 
@@ -44,8 +45,14 @@ class NetTraceLog:
         self._networks: List[Network] = []
 
     def attach(self, network: Network) -> "NetTraceLog":
-        """Start recording a network's frames (chainable; a network's
-        previous hook, if any, is replaced)."""
+        """Start recording a network's frames (chainable).  A network
+        carries one trace hook: attaching where a log already records
+        raises :class:`~repro.errors.SimulationError` rather than
+        silently ending that log's recording."""
+        if network.trace_hook is not None:
+            raise SimulationError(
+                f"network {network.name!r} already has a wire trace attached")
+
         def hook(datagram: Datagram, size: int, dropped: bool,
                  network: Network = network) -> None:
             self._record(network, datagram, size, dropped)

@@ -191,7 +191,7 @@ class Nucleus:
         self.error_client: Optional[Callable[[str], None]] = None
         self.tadd_purge_hooks: List[Callable[[Address, Address], None]] = []
         # Addresses the LCM's Sec. 6.3 patch must recognize as "the
-        # naming service" (replicated NSP-Layers add their servers).
+        # naming service" (sharded NSP-Layers add every replica).
         self.ns_addresses: Set[Address] = {wellknown.ns_uadd}
 
         # The layers, bottom-up.

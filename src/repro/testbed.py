@@ -73,7 +73,7 @@ class Testbed:
         self.gateways: Dict[str, Gateway] = {}
         self.modules: Dict[str, ComMod] = {}
         self.name_server_instance: Optional[NameServer] = None
-        # Swappable naming-service client (set by e.g. the replicated
+        # Swappable naming-service client (set by the sharded
         # deployment helper); None means the single-server NspLayer.
         self.nsp_factory = None
         # Sharded naming bookkeeping (PROTOCOL.md §14), filled by
@@ -173,7 +173,7 @@ class Testbed:
 
     def _gateway_nsp_factory(self):
         """Gateways talk to whatever naming service the deployment
-        runs: the swapped-in factory (replicated / sharded) when one is
+        runs: the swapped-in factory (sharded replicas) when one is
         installed, the single-server NspLayer otherwise."""
         return self.nsp_factory or (lambda nucleus: NspLayer(nucleus))
 
@@ -258,8 +258,6 @@ class Testbed:
             network=network, binding=_NS_BINDINGS[protocol],
             config=replace(self.config), db=old.db, name=old.name,
         )
-        if hasattr(old, "peer_uadds") and hasattr(server, "set_peers"):
-            server.set_peers(list(old.peer_uadds))
         self.name_server_instance = server
         return server
 

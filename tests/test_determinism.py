@@ -128,12 +128,10 @@ def _naming_frames(log):
     return out
 
 
-def _naming_service_run(kind):
-    """One fixed locate/call/batch/deregister workload against either a
-    2-replica naming service or the same two machines as a single
-    1-shard × 2-replica sharded deployment."""
+def _naming_service_run():
+    """One fixed locate/call/batch/deregister workload against a
+    1-shard × 2-replica naming service."""
     from repro.errors import NoSuchName
-    from repro.naming.replicated import deploy_replicated_naming
     from repro.naming.shards import deploy_sharded_naming
 
     bed = Testbed()
@@ -142,10 +140,7 @@ def _naming_service_run(kind):
     bed.machine("ns1", SUN3, networks=["ether0"])
     bed.machine("app1", SUN3, networks=["ether0"])
     bed.machine("app2", VAX, networks=["ether0"])
-    if kind == "replicated":
-        deploy_replicated_naming(bed, ["ns0", "ns1"])
-    else:
-        deploy_sharded_naming(bed, [["ns0", "ns1"]])
+    deploy_sharded_naming(bed, [["ns0", "ns1"]])
     register_app_types(bed)
     log = bed.record_wire_trace()
 
@@ -172,17 +167,25 @@ def _naming_service_run(kind):
 
 
 def test_single_shard_ablation_matches_replicated_service():
-    """PROTOCOL.md §14 ablation: with one shard, the sharded deployment
-    IS the replicated naming service — same application answers, same
-    naming wire traffic message for message and byte for byte, same
-    virtual end time.  Ownership checks, the ring, and the anti-entropy
-    log cost nothing on the wire until a second shard exists."""
-    replicated = _naming_service_run("replicated")
-    sharded = _naming_service_run("sharded")
-    assert sharded[0] == replicated[0]          # answers
-    assert len(replicated[1]) > 0               # the trace saw naming
-    assert sharded[1] == replicated[1]          # frames, byte-identical
-    assert sharded[2] == replicated[2]          # virtual timeline
+    """PROTOCOL.md §14: a replicated naming service is a one-shard
+    deployment.  Its answers, its naming wire traffic (message for
+    message, byte for byte) and its virtual end time are pinned to the
+    values the separate replicated-service classes produced before they
+    were folded into the sharded ones: ownership checks, the ring and
+    the anti-entropy log cost nothing on the wire until a second shard
+    exists."""
+    answers, frames, now = _naming_service_run()
+    assert answers == [
+        (2, 0, "M0"), (2, 1, "M1"), (2, 2, "M2"), "no-such-name",
+        (("dest", 2), ("no.such", None), ("worker", 3)),
+    ]
+    digest = hashlib.sha256()
+    for type_id, body in frames:
+        digest.update(json.dumps([type_id, body.hex()]).encode() + b"\n")
+    assert len(frames) == 24
+    assert digest.hexdigest() == (
+        "56b0cda437c0b99f0af7a606c6d5b0154762d19e037c9925d0401cb7c427055e")
+    assert now == 0.048000000000000036
 
 
 # ---------------------------------------------------------------------------

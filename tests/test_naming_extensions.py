@@ -1,5 +1,5 @@
 """Tests for the Sec. 7 naming extensions: attribute-value naming and
-the replicated naming service."""
+the replicated naming service (a one-shard sharded deployment)."""
 
 import pytest
 
@@ -18,7 +18,8 @@ from repro.naming.attributes import (
     parse_query,
     similarity,
 )
-from repro.naming.replicated import deploy_replicated_naming
+from repro.naming.shards import deploy_sharded_naming
+from repro.netsim import ChaosSchedule
 
 
 # -- predicates ------------------------------------------------------------
@@ -134,7 +135,7 @@ def _replicated_bed(replicas=2):
         machines.append(name)
     bed.machine("app1", SUN3, networks=["ether0"])
     bed.machine("app2", VAX, networks=["ether0"])
-    servers = deploy_replicated_naming(bed, machines)
+    servers = deploy_sharded_naming(bed, [machines])[0]
     register_app_types(bed)
     return bed, servers
 
@@ -166,7 +167,7 @@ def test_failover_on_primary_death():
     uadd = client.ali.locate("dest")
     reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
     assert reply.values["text"] == "X"
-    assert client.nsp.failovers >= 1
+    assert client.nucleus.counters["ns_failovers"] >= 1
 
 
 def test_writes_accepted_by_replica_after_failover():
@@ -202,7 +203,7 @@ def test_three_replicas_survive_double_failure():
     uadd = client.ali.locate("dest")
     reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
     assert reply.values["text"] == "X"
-    assert client.nsp.failovers >= 1
+    assert client.nucleus.counters["ns_failovers"] >= 1
     # Writes keep working on the last survivor.
     late = bed.module("late", "app1")
     assert servers[2].db.resolve_name("late").uadd == late.ali.uadd
@@ -216,3 +217,26 @@ def test_deregistration_replicates():
     bed.settle()
     for server in servers:
         assert server.db.resolve_uadd(worker.ali.uadd).alive is False
+
+
+def test_chaos_restart_brings_back_a_non_primary_replica():
+    """Every replica is a shard server, so a chaos crash/restart of a
+    non-primary replica's machine restarts that replica's server and
+    pulls the writes it missed."""
+    bed, servers = _replicated_bed(replicas=3)
+    old = servers[2]
+    bed.settle()
+    schedule = (ChaosSchedule(seed=5)
+                .crash(bed.now + 0.005, "ns2")
+                .restart(bed.now + 0.6, "ns2"))
+    engine = bed.chaos(schedule)
+    bed.run_for(0.01)
+    late = bed.module("late", "app1")   # accepted while ns2 is down
+    bed.run_for(1.0)
+    bed.settle()
+    assert engine.remaining() == 0
+    healed = bed.name_shard_servers["ns2"]
+    assert healed is not old and healed is servers[2]
+    assert healed.process.alive
+    assert healed.uadd == old.uadd
+    assert healed.db.resolve_name("late").uadd == late.ali.uadd

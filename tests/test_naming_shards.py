@@ -216,7 +216,7 @@ def test_replica_failover_stays_inside_the_shard():
     uadd = client.ali.locate("dest")
     reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
     assert reply.values["text"] == "X"
-    assert client.nsp.failovers >= 1
+    assert client.nucleus.counters["ns_failovers"] >= 1
     # The surviving replica serves writes for its shard too.
     late = bed.module("late.worker", "app1")  # shard 0 owns it
     assert groups[0][1].db.resolve_name("late.worker").uadd == late.ali.uadd

@@ -266,8 +266,8 @@ def test_sharded_naming_modules_are_clean():
     and yields zero findings: consistent hashing is built on CRC-32,
     not the salted builtin ``hash``, so the determinism family has
     nothing to waive."""
-    for rel in ("naming/shards.py", "naming/replicated.py",
-                "naming/database.py", "naming/protocol.py"):
+    for rel in ("naming/shards.py", "naming/database.py",
+                "naming/protocol.py"):
         path = SRC_TREE / rel
         assert "ntcslint: allow" not in path.read_text(), rel
     findings = analyze([SRC_TREE / "naming"])
